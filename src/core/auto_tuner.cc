@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "sim/engine.hh"
 
 namespace dmpb {
 
@@ -109,50 +108,38 @@ AutoTuner::evaluateBatch(const ProxyBenchmark &proxy,
                          std::vector<PendingEval> &batch,
                          TunerReport &report, bool interruptible)
 {
-    const std::size_t njobs = effectiveTunerJobs(config_);
-
-    // Each entry evaluates on a shallow clone: private parameter
-    // vector, shared trace memo, so overlapping edges across the
-    // batch simulate once and memo hits are bit-identical to
-    // re-simulation. Workers write only their own slot.
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        jobs.push_back([this, &proxy, &machine, &batch, i, njobs,
-                        interruptible]() {
-            if (interruptible && config_.should_stop &&
-                config_.should_stop()) {
-                return;  // deadline: leave the slot un-executed
-            }
-            PendingEval &e = batch[i];
-            ProxyBenchmark clone = proxy.cloneShallow();
-            if (njobs > 1 && batch.size() > 1) {
-                // Concurrent candidates already saturate the host;
-                // nested per-edge sharding inside each evaluation
-                // would only oversubscribe. Single-entry batches
-                // (e.g. the baseline) keep the proxy's own sharding.
-                // Metrics are bit-identical for every shard count.
-                SimConfig sim = clone.simConfig();
-                sim.shards = 1;
-                clone.setSimConfig(sim);
-            }
-            if (e.param != kNoMove)
-                clone.setParameter(param_space_[e.param].name, e.value);
-            e.x = normalize(clone.parameters());
-            e.result = clone.execute(machine, config_.trace_cap);
-            e.executed = true;
-        });
+    // Each entry is a shallow clone -- private parameter vector,
+    // shared trace memo -- and the whole batch executes as one
+    // edge-granular job set: every edge the memo lacks simulates once
+    // on config_.jobs workers, however many entries share it.
+    std::vector<ProxyBenchmark> clones;
+    std::vector<const ProxyBenchmark *> views;
+    clones.reserve(batch.size());
+    views.reserve(batch.size());
+    for (PendingEval &e : batch) {
+        ProxyBenchmark &clone = clones.emplace_back(proxy.cloneShallow());
+        if (e.param != kNoMove)
+            clone.setParameter(param_space_[e.param].name, e.value);
+        e.x = normalize(clone.parameters());
+        views.push_back(&clone);
     }
-    runShardedJobs(njobs, std::move(jobs));
+    std::vector<std::optional<ProxyResult>> results =
+        ProxyBenchmark::executeBatch(
+            views, machine, config_.trace_cap, effectiveTunerJobs(config_),
+            interruptible ? config_.should_stop : nullptr);
 
     // Merge in batch order so samples_x_/samples_y_ -- and therefore
     // every subsequent refit -- are identical for any job count.
     bool complete = true;
-    for (PendingEval &e : batch) {
-        if (!e.executed) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        PendingEval &e = batch[i];
+        std::optional<ProxyResult> &result = results[i];
+        if (!result) {
             complete = false;
             continue;
         }
+        e.result = std::move(*result);
+        e.executed = true;
         ++report.evaluations;
         samples_x_.push_back(e.x);
         for (Metric m : accuracyMetricSet())

@@ -7,17 +7,23 @@
  * Flow (Fig. 3 of the paper):
  *   1. Impact analysis -- change one parameter at a time, execute the
  *      proxy, and record (P, M) samples. All samples are enumerated up
- *      front and evaluated concurrently on cheap proxy clones sharing
- *      the trace memo.
+ *      front and evaluated as one batch.
  *   2. Fit one regression tree per metric on the samples.
  *   3. Adjusting stage -- when a metric deviates, rank the candidate
  *      single-parameter moves by the trees' predicted deviation.
  *   4. Feedback stage -- *speculative batched descent*: execute the
- *      top-K ranked candidates concurrently, accept the best measured
+ *      top-K ranked candidates as one batch, accept the best measured
  *      one, and feed every sample back into the trees, so each
  *      wall-clock iteration learns K times faster than the classic
  *      one-move-per-iteration loop. If every metric deviation is
  *      within the threshold (15% by default), the proxy is qualified.
+ *
+ * Every evaluation -- the baseline, the impact sweep, each feedback
+ * batch -- goes through ProxyBenchmark::executeBatch() on cheap proxy
+ * clones sharing one trace memo: the batch is one edge-granular job
+ * set on TunerConfig::jobs workers, so an edge several candidates
+ * share is simulated once and a batch lasts as long as its slowest
+ * edge rather than its slowest candidate.
  *
  * Determinism: candidates have a fixed enumeration order, samples
  * merge into the training set in that order, and acceptance ties
@@ -58,9 +64,9 @@ struct TunerConfig
     /** Per-edge traced-byte cap for proxy evaluations. */
     std::uint64_t trace_cap = 2 * 1024 * 1024;
     std::uint64_t seed = 99;
-    /** Worker threads for batched proxy evaluations: impact-analysis
-     *  samples and speculative feedback candidates evaluate
-     *  concurrently on proxy clones sharing the trace memo.
+    /** Worker threads for proxy evaluations: every batch (baseline,
+     *  impact sweep, feedback candidates) runs its distinct edge
+     *  simulations on this many workers.
      *  0 = one per hardware thread (capped at 8); 1 = serial.
      *  The TunerReport is bit-identical for every value. */
     std::size_t jobs = 0;
@@ -69,9 +75,11 @@ struct TunerConfig
      *  `jobs` so the tuning trajectory never depends on the host's
      *  parallelism. */
     std::uint32_t speculation = 4;
-    /** Cooperative stop: polled before each proxy evaluation; when it
-     *  returns true the tuner finishes early with whatever it has
-     *  (reported unqualified unless already within the gate). Used by
+    /** Cooperative stop: polled before each edge simulation of the
+     *  impact sweep and the feedback batches, and before each
+     *  feedback iteration; when it returns true the tuner finishes
+     *  early with whatever it has (reported unqualified unless already
+     *  within the gate). The baseline evaluation is never cut. Used by
      *  the suite runner to enforce per-workload deadlines. May be
      *  invoked concurrently from evaluation worker threads, so the
      *  callable must be thread-safe (a steady_clock deadline check
@@ -147,19 +155,21 @@ class AutoTuner
     {
         std::size_t param = kNoMove;  ///< param_space_ index
         double value = 0.0;           ///< new value for that parameter
-        bool executed = false;        ///< false when the deadline hit
+        /** False when the deadline skipped one of its edges. */
+        bool executed = false;
         std::vector<double> x;        ///< normalised parameter vector
         ProxyResult result;
     };
 
     /**
-     * Evaluate every entry of @p batch concurrently (config_.jobs
-     * workers) on cloneShallow() copies of @p proxy, then merge the
-     * executed samples into samples_x_/samples_y_ in batch order --
-     * the merge order, and therefore every subsequent refit, is
-     * independent of the job count. Entries skipped by should_stop
-     * stay executed = false (only possible when @p interruptible).
-     * Returns false if any entry was skipped.
+     * Evaluate every entry of @p batch on cloneShallow() copies of
+     * @p proxy through one ProxyBenchmark::executeBatch() call
+     * (config_.jobs workers), then merge the executed samples into
+     * samples_x_/samples_y_ in batch order -- the merge order, and
+     * therefore every subsequent refit, is independent of the job
+     * count. When @p interruptible, should_stop is polled before each
+     * edge simulation and entries with a skipped edge stay
+     * executed = false. Returns false if any entry was skipped.
      */
     bool evaluateBatch(const ProxyBenchmark &proxy,
                        const MachineConfig &machine,

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -97,14 +99,36 @@ ProxyBenchmark::normalizeWeights()
 
 namespace {
 
-/** Everything one proxy edge contributes, simulated independently. */
-struct EdgeOutcome
+/** How one proxy's tasks map onto the node; shared by its edges. */
+struct TaskShape
 {
-    KernelProfile prof;        ///< all-tasks totals incl. I/O bytes
-    std::uint64_t checksum = 0;
-    double edge_cpu = 0.0;     ///< all waves of this edge's tasks
-    double disk_s = 0.0;
+    std::uint32_t tasks = 1;
+    std::uint32_t sharers = 1;      ///< tasks sharing the node's L3
+    std::uint64_t waves = 1;
+    std::uint64_t working_set = 0;  ///< traced bytes per task
 };
+
+TaskShape
+taskShape(const MotifParams &base, const MachineConfig &machine,
+          std::uint64_t trace_cap)
+{
+    TaskShape shape;
+    shape.tasks = std::max<std::uint32_t>(1, base.num_tasks);
+    const std::uint32_t cores = machine.totalCores();
+    shape.sharers = std::min(shape.tasks, cores);
+    shape.waves = (shape.tasks + cores - 1) / cores;
+
+    // Traced working set per task: governed by dataSize/numTasks and
+    // bounded for tuner-iteration cost. Edge *weights* scale each
+    // motif's contribution (extrapolation factor), not its working
+    // set -- so cache behaviour responds to dataSize/chunkSize while
+    // the instruction mix responds to the weights, which is what lets
+    // the decision tree steer metrics independently.
+    shape.working_set = std::max<std::uint64_t>(
+        64 * 1024,
+        std::min<std::uint64_t>(base.data_size / shape.tasks, trace_cap));
+    return shape;
+}
 
 /**
  * Memo key: every input of one edge's traced run. The edge weight is
@@ -144,6 +168,100 @@ edgeTraceKey(const Motif &motif, const MotifParams &p,
     return key.str();
 }
 
+/** One edge's traced run: its simulation inputs and their memo key. */
+struct EdgeRun
+{
+    MotifParams params;
+    std::uint64_t traced_bytes = 0;
+    std::string key;
+};
+
+EdgeRun
+edgeRun(const ProxyBenchmark &proxy, std::size_t ei,
+        const TaskShape &shape, const MachineConfig &machine)
+{
+    const Motif &motif = *proxy.edges()[ei].motif;
+    EdgeRun run;
+    MotifParams &p = run.params;
+    p = proxy.baseParams();
+    p.seed ^= mix64(ei + 1);
+    if (motif.isAi()) {
+        // One batch per traced run; extrapolate to the share.
+        p.total_size = 0;
+        run.traced_bytes = aiBytesPerRun(p);
+    } else {
+        p.data_size = shape.working_set;
+        p.chunk_size = std::min<std::uint64_t>(p.chunk_size, p.data_size);
+        run.traced_bytes = p.data_size;
+    }
+    run.key = edgeTraceKey(motif, p, machine, shape.sharers,
+                           shape.working_set, run.traced_bytes,
+                           proxy.gcIntensity());
+    return run;
+}
+
+/** Everything one proxy edge contributes to the node's run. */
+struct EdgeOutcome
+{
+    KernelProfile prof;        ///< all-tasks totals incl. I/O bytes
+    double edge_cpu = 0.0;     ///< all waves of this edge's tasks
+    double disk_s = 0.0;
+};
+
+/**
+ * Extrapolate edge @p ei's traced per-task profile @p prof to its
+ * share of the proxy's data and to all tasks, and time it.
+ */
+EdgeOutcome
+extrapolateEdge(const ProxyBenchmark &proxy, std::size_t ei,
+                const TaskShape &shape, std::uint64_t traced_bytes,
+                const MachineConfig &machine, KernelProfile prof)
+{
+    const MotifParams &base = proxy.baseParams();
+    const ProxyEdge &edge = proxy.edges()[ei];
+    EdgeOutcome out;
+    out.prof = std::move(prof);
+    // Logical bytes this motif contributes, per task.
+    double edge_bytes = static_cast<double>(base.data_size) * edge.weight;
+    double share = edge_bytes / static_cast<double>(shape.tasks);
+    double scale = share / static_cast<double>(
+                               std::max<std::uint64_t>(1, traced_bytes));
+    out.prof.scale(scale);
+
+    // Compute time: tasks run in parallel, in waves if there are more
+    // tasks than hardware contexts.
+    double per_task_cpu = machine.core.seconds(out.prof);
+    out.edge_cpu = per_task_cpu * static_cast<double>(shape.waves);
+
+    // I/O pattern. Big-data edges stream their input from disk and
+    // spill half of it as intermediate data (Section II-A:
+    // "intermediate data written to disk"). AI edges only read one
+    // uint8 image batch per run through a prefetching input pipeline,
+    // so their disk pressure is near zero, matching the 0.2-0.5 MB/s
+    // the paper measures for the AI workloads.
+    std::uint64_t edge_read;
+    std::uint64_t edge_write;
+    if (edge.motif->isAi()) {
+        edge_read = static_cast<std::uint64_t>(base.batch_size) *
+                    base.channels * base.height * base.width;
+        edge_write = 0;
+    } else {
+        edge_read = static_cast<std::uint64_t>(edge_bytes);
+        edge_write = edge_read / 2;
+        out.disk_s =
+            machine.disk.readSeconds(edge_read, edge_read / kMiB + 1) +
+            machine.disk.writeSeconds(edge_write, edge_write / kMiB + 1);
+    }
+    out.prof.scale(static_cast<double>(shape.tasks));
+    out.prof.disk_read_bytes += edge_read;
+    out.prof.disk_write_bytes += edge_write;
+    // The node's systolic array is a shared serial resource: all
+    // tasks' tile passes queue on it, so the all-tasks array time adds
+    // onto the edge, not one wave's worth.
+    out.edge_cpu += machine.accel.seconds(out.prof);
+    return out;
+}
+
 } // namespace
 
 ReplicaPool &
@@ -180,154 +298,146 @@ ProxyResult
 ProxyBenchmark::execute(const MachineConfig &machine,
                         std::uint64_t trace_cap) const
 {
-    dmpb_assert(!edges_.empty(), name_, ": proxy has no motifs");
-    ProxyResult result;
+    std::optional<ProxyResult> result = std::move(
+        executeBatch({this}, machine, trace_cap, sim_.shards).front());
+    // Without a stop poll no simulation is skipped.
+    dmpb_assert(result.has_value(), name_, ": execution came back empty");
+    return std::move(*result);
+}
 
-    const std::uint32_t tasks =
-        std::max<std::uint32_t>(1, base_.num_tasks);
-    const std::uint32_t cores = machine.totalCores();
-    const std::uint32_t sharers = std::min(tasks, cores);
-    const std::uint64_t waves = (tasks + cores - 1) / cores;
+std::vector<std::optional<ProxyResult>>
+ProxyBenchmark::executeBatch(
+    const std::vector<const ProxyBenchmark *> &clones,
+    const MachineConfig &machine, std::uint64_t trace_cap,
+    std::size_t jobs, const std::function<bool()> &should_stop)
+{
+    std::vector<std::optional<ProxyResult>> results(clones.size());
+    if (clones.empty())
+        return results;
+    TraceMemo &memo = *clones.front()->trace_memo_;
 
-    // Traced working set per task: governed by dataSize/numTasks and
-    // bounded for tuner-iteration cost. Edge *weights* scale each
-    // motif's contribution (extrapolation factor), not its working
-    // set -- so cache behaviour responds to dataSize/chunkSize while
-    // the instruction mix responds to the weights, which is what lets
-    // the decision tree steer metrics independently.
-    const std::uint64_t working_set = std::max<std::uint64_t>(
-        64 * 1024,
-        std::min<std::uint64_t>(base_.data_size / tasks, trace_cap));
+    // Plan: the traced run of every (clone, edge) pair.
+    std::vector<TaskShape> shapes;
+    std::vector<std::vector<EdgeRun>> runs(clones.size());
+    std::size_t max_edges = 0;
+    shapes.reserve(clones.size());
+    for (std::size_t ci = 0; ci < clones.size(); ++ci) {
+        const ProxyBenchmark &proxy = *clones[ci];
+        dmpb_assert(!proxy.edges_.empty(), proxy.name_,
+                    ": proxy has no motifs");
+        dmpb_assert(proxy.trace_memo_.get() == &memo, proxy.name_,
+                    ": a batch must share one trace memo");
+        shapes.push_back(taskShape(proxy.base_, machine, trace_cap));
+        for (std::size_t ei = 0; ei < proxy.edges_.size(); ++ei)
+            runs[ci].push_back(edgeRun(proxy, ei, shapes[ci], machine));
+        max_edges = std::max(max_edges, runs[ci].size());
+    }
 
-    // Every edge is one simulated core with private cache/predictor
-    // replicas, so the edge simulations are mutually independent:
-    // they run sharded across the ThreadPool and merge in edge order
-    // below, bit-identical for any simConfig().shards value.
-    std::vector<EdgeOutcome> outcomes(edges_.size());
-    ReplicaPool &pool = poolFor(machine, sharers);
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(edges_.size());
-    for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-        jobs.push_back([this, &machine, &outcomes, &pool, ei, tasks,
-                        sharers, waves, working_set]() {
-            const ProxyEdge &edge = edges_[ei];
-            EdgeOutcome &out = outcomes[ei];
-            // Logical bytes this motif contributes, per task.
-            double edge_bytes = static_cast<double>(base_.data_size) *
-                                edge.weight;
-            double share = edge_bytes / static_cast<double>(tasks);
-
-            MotifParams p = base_;
-            p.seed = base_.seed ^ mix64(ei + 1);
-            std::uint64_t traced_bytes;
-            if (edge.motif->isAi()) {
-                // One batch per traced run; extrapolate to the share.
-                p.total_size = 0;
-                traced_bytes = aiBytesPerRun(p);
-            } else {
-                p.data_size = working_set;
-                p.chunk_size = std::min<std::uint64_t>(p.chunk_size,
-                                                       p.data_size);
-                traced_bytes = p.data_size;
+    // Simulate: one job per distinct key the memo lacks. Every edge
+    // is an independent simulated core with private model replicas,
+    // so the jobs run on any number of workers. They are queued edge
+    // by edge (edge 0 of every clone, then edge 1, ...), so jobs that
+    // run at once mostly belong to different clones: a clone needing
+    // a large context (few L3 sharers) or big AI tensors seldom holds
+    // several at a time, which keeps peak memory down.
+    std::vector<std::pair<std::size_t, std::size_t>> missing;
+    {
+        std::set<std::string_view> planned;
+        MutexLock lock(memo.mutex);
+        for (std::size_t ei = 0; ei < max_edges; ++ei) {
+            for (std::size_t ci = 0; ci < clones.size(); ++ci) {
+                if (ei >= runs[ci].size())
+                    continue;
+                const std::string &key = runs[ci][ei].key;
+                if (memo.entries.count(key) == 0 &&
+                    planned.insert(key).second)
+                    missing.emplace_back(ci, ei);
             }
-
-            const std::string key = edgeTraceKey(
-                *edge.motif, p, machine, sharers, working_set,
-                traced_bytes, gc_intensity_);
-            bool memoized = false;
-            {
-                MutexLock lock(trace_memo_->mutex);
-                auto it = trace_memo_->entries.find(key);
-                if (it != trace_memo_->entries.end()) {
-                    out.prof = it->second.profile;
-                    out.checksum = it->second.checksum;
-                    memoized = true;
-                }
+        }
+    }
+    std::vector<std::function<void()>> simulations;
+    simulations.reserve(missing.size());
+    for (const auto &[clone_index, edge_index] : missing) {
+        simulations.push_back([&, ci = clone_index, ei = edge_index]() {
+            const ProxyBenchmark &proxy = *clones[ci];
+            const EdgeRun &run = runs[ci][ei];
+            const TaskShape &shape = shapes[ci];
+            // Light-weight stack: small resident kernel code (the
+            // paper's POSIX-thread implementations), plus the unified
+            // memory-management module at gc_intensity ops/byte. The
+            // context is a pooled replica -- bit-equivalent to a
+            // fresh construction.
+            ReplicaPool::Lease lease =
+                proxy.poolFor(machine, shape.sharers).acquire();
+            TraceContext &ctx = lease.ctx();
+            ctx.setCodeFootprint(48 * 1024);
+            EdgeTrace trace;
+            trace.checksum = proxy.edges_[ei].motif->run(ctx, run.params);
+            if (proxy.gc_intensity_ > 0.0) {
+                ManagedHeap heap(ctx, std::max<std::uint64_t>(
+                                          64 * 1024, shape.working_set / 8));
+                Rng mgmt_rng(run.params.seed ^ 0x6c6cULL);
+                stackManagementWork(ctx, heap, mgmt_rng, run.traced_bytes,
+                                    proxy.gc_intensity_);
+                heap.collect();
             }
-            if (!memoized) {
-                // Light-weight stack: small resident kernel code (the
-                // paper's POSIX-thread implementations), plus the
-                // unified memory-management module at gc_intensity
-                // ops/byte. The context is a pooled replica --
-                // bit-equivalent to a fresh construction.
-                ReplicaPool::Lease lease = pool.acquire();
-                TraceContext &ctx = lease.ctx();
-                ctx.setCodeFootprint(48 * 1024);
-                out.checksum = edge.motif->run(ctx, p);
-                if (gc_intensity_ > 0.0) {
-                    ManagedHeap heap(
-                        ctx, std::max<std::uint64_t>(64 * 1024,
-                                                     working_set / 8));
-                    Rng mgmt_rng(p.seed ^ 0x6c6cULL);
-                    stackManagementWork(ctx, heap, mgmt_rng,
-                                        traced_bytes, gc_intensity_);
-                    heap.collect();
-                }
-                out.prof = ctx.profile();
-                MutexLock lock(trace_memo_->mutex);
-                trace_memo_->entries.emplace(key,
-                                             EdgeTrace{out.prof,
-                                                       out.checksum});
-            }
-
-            double scale = share / static_cast<double>(
-                                       std::max<std::uint64_t>(
-                                           1, traced_bytes));
-            out.prof.scale(scale);
-
-            // Compute time: tasks run in parallel, in waves if there
-            // are more tasks than hardware contexts.
-            double per_task_cpu = machine.core.seconds(out.prof);
-            out.edge_cpu = per_task_cpu * static_cast<double>(waves);
-
-            // I/O pattern. Big-data edges stream their input from
-            // disk and spill half of it as intermediate data
-            // (Section II-A: "intermediate data written to disk").
-            // AI edges only read one uint8 image batch per run
-            // through a prefetching input pipeline, so their disk
-            // pressure is near zero, matching the 0.2-0.5 MB/s the
-            // paper measures for the AI workloads.
-            std::uint64_t edge_read;
-            std::uint64_t edge_write;
-            if (edge.motif->isAi()) {
-                edge_read =
-                    static_cast<std::uint64_t>(base_.batch_size) *
-                    base_.channels * base_.height * base_.width;
-                edge_write = 0;
-            } else {
-                edge_read = static_cast<std::uint64_t>(edge_bytes);
-                edge_write = edge_read / 2;
-                out.disk_s =
-                    machine.disk.readSeconds(edge_read,
-                                             edge_read / kMiB + 1) +
-                    machine.disk.writeSeconds(edge_write,
-                                              edge_write / kMiB + 1);
-            }
-            out.prof.scale(static_cast<double>(tasks));
-            out.prof.disk_read_bytes += edge_read;
-            out.prof.disk_write_bytes += edge_write;
-            // The node's systolic array is a shared serial resource:
-            // all tasks' tile passes queue on it, so the all-tasks
-            // array time adds onto the edge, not one wave's worth.
-            out.edge_cpu += machine.accel.seconds(out.prof);
+            trace.profile = ctx.profile();
+            MutexLock lock(memo.mutex);
+            ++memo.simulated;
+            memo.entries.emplace(run.key, std::move(trace));
         });
     }
-    runShardedJobs(sim_.shards, std::move(jobs));
-
-    // Deterministic merge in edge order.
-    KernelProfile total;
-    double runtime = 0.0;
-    for (EdgeOutcome &out : outcomes) {
-        result.checksum ^= out.checksum;
-        runtime += std::max(out.edge_cpu, out.disk_s) +
-                   0.25 * std::min(out.edge_cpu, out.disk_s);
-        total.merge(out.prof);
+    try {
+        runShardedJobs(jobs, std::move(simulations), should_stop,
+                       "proxy evaluation");
+    } catch (const ShardInterrupted &) {
+        // Skipped simulations leave their keys missing from the memo;
+        // the clones needing them come back empty below.
     }
 
-    result.runtime_s = runtime;
-    result.profile = total;
-    result.metrics = computeMetrics(total, machine.core, runtime, 1.0);
-    return result;
+    // Assemble: each clone's result from the memo, merged in edge
+    // order -- bit-identical for any job count and any batch.
+    for (std::size_t ci = 0; ci < clones.size(); ++ci) {
+        const ProxyBenchmark &proxy = *clones[ci];
+        ProxyResult result;
+        KernelProfile total;
+        double runtime = 0.0;
+        bool complete = true;
+        for (std::size_t ei = 0; ei < runs[ci].size(); ++ei) {
+            EdgeTrace trace;
+            {
+                MutexLock lock(memo.mutex);
+                auto it = memo.entries.find(runs[ci][ei].key);
+                if (it == memo.entries.end()) {
+                    complete = false;
+                    break;
+                }
+                trace = it->second;
+            }
+            EdgeOutcome out =
+                extrapolateEdge(proxy, ei, shapes[ci],
+                                runs[ci][ei].traced_bytes, machine,
+                                std::move(trace.profile));
+            result.checksum ^= trace.checksum;
+            runtime += std::max(out.edge_cpu, out.disk_s) +
+                       0.25 * std::min(out.edge_cpu, out.disk_s);
+            total.merge(out.prof);
+        }
+        if (!complete)
+            continue;
+        result.runtime_s = runtime;
+        result.profile = total;
+        result.metrics = computeMetrics(total, machine.core, runtime, 1.0);
+        results[ci] = std::move(result);
+    }
+    return results;
+}
+
+std::size_t
+ProxyBenchmark::simulatedEdgesForTest() const
+{
+    MutexLock lock(trace_memo_->mutex);
+    return trace_memo_->simulated;
 }
 
 std::vector<TunableParam>

@@ -17,9 +17,12 @@
 #ifndef DMPB_CORE_PROXY_BENCHMARK_HH
 #define DMPB_CORE_PROXY_BENCHMARK_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,13 +80,43 @@ class ProxyBenchmark
      * dataSize -- the same SMARTS-style approach the real-workload
      * engines use, keeping tuner iterations cheap.
      *
-     * Each edge is an independent simulated core with private model
-     * replicas; simConfig().shards of them run concurrently and their
-     * outcomes merge in edge order, so the result is bit-identical
-     * for every shard count.
+     * A batch of one: executeBatch({this}, machine, trace_cap,
+     * simConfig().shards), so its edges simulate on up to
+     * simConfig().shards workers and the result is bit-identical for
+     * every shard count.
      */
     ProxyResult execute(const MachineConfig &machine,
                         std::uint64_t trace_cap = 2 * 1024 * 1024) const;
+
+    /**
+     * Execute every proxy of @p clones as one edge-granular job set,
+     * in three phases:
+     *
+     *  - plan: derive the traced run, and its memo key, of every
+     *    (clone, edge) pair;
+     *  - simulate: run each distinct key the trace memo lacks exactly
+     *    once, as one runShardedJobs() job set on @p jobs workers --
+     *    an edge several clones share is traced once, and a batch
+     *    lasts as long as its slowest *edge*, not its slowest clone;
+     *  - assemble: build each clone's ProxyResult from the memo, in
+     *    edge order.
+     *
+     * Every edge is an independent simulated core and a memo hit is
+     * bit-identical to re-simulation, so each result equals what
+     * execute() on a fresh copy of that clone returns, for every
+     * @p jobs value. The clones must share one trace memo (be
+     * cloneShallow() copies of one proxy); they are only read.
+     *
+     * @p should_stop, when set, is polled before each simulation; once
+     * it returns true the remaining ones are skipped, and a clone
+     * whose edges were not all simulated comes back empty. Without it
+     * every result is engaged. Must be safe to call concurrently.
+     */
+    static std::vector<std::optional<ProxyResult>> executeBatch(
+        const std::vector<const ProxyBenchmark *> &clones,
+        const MachineConfig &machine, std::uint64_t trace_cap,
+        std::size_t jobs,
+        const std::function<bool()> &should_stop = nullptr);
 
     /** @{ Trace-simulation engine knobs (no effect on any metric). */
     const SimConfig &simConfig() const { return sim_; }
@@ -92,20 +125,25 @@ class ProxyBenchmark
 
     /**
      * Shallow clone: a copy with its own parameter vector / edge
-     * weights that *shares* this proxy's TraceMemo, so edges whose
-     * simulation inputs overlap across clones are traced once and
-     * every memo hit is bit-identical to re-simulation.
+     * weights that *shares* this proxy's TraceMemo and replica pools.
+     * The auto-tuner evaluates a batch of candidate parameter vectors
+     * by passing clones to executeBatch(), which traces each edge the
+     * batch needs once; every memo hit is bit-identical to
+     * re-simulation.
      *
-     * Thread-safe-execution contract: execute() is const and never
-     * mutates the proxy; the only mutable state reachable from it is
-     * the shared TraceMemo, which is mutex-guarded. Any number of
-     * distinct ProxyBenchmark objects (e.g. clones) may therefore
-     * call execute() concurrently -- the parallel auto-tuner
-     * evaluates candidate parameter vectors this way. The mutators
-     * (setParameter(), setSimConfig(), ...) are NOT thread-safe:
-     * confine each clone to a single worker thread.
+     * Thread-safe-execution contract: execute() and executeBatch()
+     * never mutate a proxy; the only mutable state reachable from
+     * them is the shared memo and pool registry, both mutex-guarded.
+     * Distinct ProxyBenchmark objects (e.g. clones) may therefore be
+     * executed concurrently. The mutators (setParameter(),
+     * setSimConfig(), ...) are NOT thread-safe: never mutate a clone
+     * while it is being executed.
      */
     ProxyBenchmark cloneShallow() const { return *this; }
+
+    /** Edge simulations the shared trace memo has run (testing
+     *  hook): memo hits and skipped simulations do not count. */
+    std::size_t simulatedEdgesForTest() const;
 
     /** @{ The tunable parameter vector P (Table I). */
     std::vector<TunableParam> parameters() const;
@@ -142,7 +180,8 @@ class ProxyBenchmark
      * proxy dozens of times varying one parameter at a time, so most
      * edges repeat with identical inputs; the deterministic engine
      * guarantees a memo hit is bit-identical to re-simulation.
-     * Shared by copies of the proxy; guarded for sharded execution.
+     * Shared by copies of the proxy; executeBatch() simulates each
+     * missing key once per batch, on concurrent workers.
      */
     struct EdgeTrace
     {
@@ -157,6 +196,8 @@ class ProxyBenchmark
          *  free if it ever does. */
         std::map<std::string, EdgeTrace> entries
             DMPB_GUARDED_BY(mutex);
+        /** Simulations run into this memo (simulatedEdgesForTest). */
+        std::size_t simulated DMPB_GUARDED_BY(mutex) = 0;
     };
 
     /**

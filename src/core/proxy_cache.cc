@@ -115,7 +115,10 @@ replayTunedParams(ProxyBenchmark &proxy, const MetricVector &target,
                   const MachineConfig &machine,
                   const TunerConfig &config, bool stored_qualified)
 {
-    // Rebuild the report by re-executing with the restored P.
+    // Rebuild the report by re-executing with the restored P. One
+    // proxy execution, sharded over simConfig().shards like any other
+    // and not over the tuner's workers: spread over them, one proxy's
+    // few, uneven edges make warm-hit latency follow the host's load.
     ProxyResult r = proxy.execute(machine, config.trace_cap);
     TunerReport report;
     report.from_cache = true;

@@ -71,11 +71,12 @@ TunerReport tuneWithCache(const std::string &cache_dir,
 /**
  * Rebuild a cache-hit TunerReport by re-executing @p proxy with the
  * parameter vector already applied to it (restored from the disk
- * cache or the in-memory layer). `from_cache` is set; a vector stored
- * unqualified stays unqualified, a qualified one is re-checked
- * against the current threshold. Shared by tuneWithCache and
- * core/cache_layer's in-memory hit path so both produce bit-identical
- * reports.
+ * cache or the in-memory layer) through ProxyBenchmark::execute(),
+ * so its edges shard over the proxy's simConfig().shards.
+ * `from_cache` is set; a vector stored unqualified stays
+ * unqualified, a qualified one is re-checked against the current
+ * threshold. Shared by tuneWithCache and core/cache_layer's
+ * in-memory hit path so both produce bit-identical reports.
  */
 TunerReport replayTunedParams(ProxyBenchmark &proxy,
                               const MetricVector &target,

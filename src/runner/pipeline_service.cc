@@ -173,9 +173,9 @@ PipelineService::run(const Workload &workload,
         tuner.seed = mixSeed(request.seed, out.short_name + "/tuner");
         if (bounded) {
             // Deadline propagates into the tuner: it stops issuing
-            // proxy evaluations once the budget is gone, and the
+            // proxy edge simulations once the budget is gone, and the
             // checkpoint below converts that into TimedOut. The
-            // parallel tuner polls this from its evaluation workers;
+            // parallel tuner polls this from its simulation workers;
             // it only reads the immutable timeout and a captured
             // steady_clock origin, so concurrent polls are safe.
             tuner.should_stop = [timeout_s, start]() {

@@ -59,9 +59,9 @@ Usage: dmpb [options]
   --seed N            Master seed for data generation and tuning
                       (default 99); same seed => same checksums
   --timeout S         Per-workload wall-clock budget in seconds
-                      (default: unlimited; checked per tuner
-                      evaluation, at stage boundaries, and between
-                      the shard jobs of the real-workload
+                      (default: unlimited; checked before each
+                      tuner edge simulation, at stage boundaries, and
+                      between the shard jobs of the real-workload
                       measurement, which is interrupted mid-stage)
   --sim-shards N      Worker threads the trace-simulation engine
                       shards independent simulated cores across
@@ -79,9 +79,10 @@ Usage: dmpb [options]
                       Another pure wall-clock knob: every statistic
                       is bit-identical in both modes
   --tuner-jobs N      Worker threads per pipeline for the auto-tuner's
-                      batched proxy evaluations (impact-analysis
-                      samples and speculative feedback candidates run
-                      concurrently; default: one per hardware thread,
+                      proxy evaluations: each batch (baseline, impact
+                      samples, speculative feedback candidates)
+                      simulates its distinct proxy edges on this many
+                      workers (default: one per hardware thread,
                       capped at 8). The tuned parameters, evaluation
                       counts and the whole report are bit-identical
                       for every value

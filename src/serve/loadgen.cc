@@ -33,6 +33,12 @@ class ClientConnection
             ::close(fd_);
     }
 
+    /**
+     * Connect, retrying while the daemon is still binding: a missing
+     * socket file (ENOENT) or a bound-but-not-listening socket
+     * (ECONNREFUSED) is retried with a fresh socket every 20 ms for up
+     * to 2 s; any other error fails at once.
+     */
     bool
     connect(const std::string &socket_path)
     {
@@ -40,19 +46,26 @@ class ClientConnection
         if (socket_path.empty() ||
             socket_path.size() >= sizeof(addr.sun_path))
             return false;
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            return false;
         addr.sun_family = AF_UNIX;
         std::memcpy(addr.sun_path, socket_path.c_str(),
                     socket_path.size() + 1);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(2);
+        for (;;) {
+            fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+            if (fd_ < 0)
+                return false;
+            if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                          sizeof(addr)) == 0)
+                return true;
+            const int err = errno;
             ::close(fd_);
             fd_ = -1;
-            return false;
+            if ((err != ENOENT && err != ECONNREFUSED) ||
+                std::chrono::steady_clock::now() >= deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
-        return true;
     }
 
     bool

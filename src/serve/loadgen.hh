@@ -3,8 +3,9 @@
  * The `dmpb --loadgen` harness: a closed-loop client for the serve
  * daemon.
  *
- * Opens a set of persistent connections to a running `dmpb --serve`
- * socket and replays a mixed warm/cold request stream against it:
+ * Opens a set of persistent connections to a `dmpb --serve` socket
+ * (retrying for up to 2 s while the daemon is still binding it) and
+ * replays a mixed warm/cold request stream against it:
  * warm requests use the cache ("cache":"use", so after the first
  * tune of a scenario cell the daemon answers from its in-memory or
  * on-disk layers), cold requests force a full pipeline

@@ -4,7 +4,9 @@
  * equivalence (batched vs scalar, any shard count), the cache model's
  * power-of-two fast path vs the generic modulo path, LRU/writeback
  * behaviour of the structure-of-arrays model, geometry validation,
- * and the deterministic sharded job runner.
+ * the deterministic sharded job runner, and batched proxy execution
+ * (bit-identical to per-proxy execution, each shared edge simulated
+ * once, a stop leaving only clones with skipped edges empty).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "base/rng.hh"
@@ -337,6 +340,178 @@ TEST(SimEngine, ProxyTraceMemoReturnsIdenticalResults)
         EXPECT_EQ(cold.metrics[static_cast<Metric>(i)],
                   warm.metrics[static_cast<Metric>(i)]);
     }
+}
+
+// --------------------------------------------------- executeBatch
+
+/** Two proxy results agree bit for bit: checksum, runtime, every
+ *  metric and every profile counter. */
+void
+expectSameProxyResult(const ProxyResult &got, const ProxyResult &want,
+                      const std::string &what)
+{
+    EXPECT_EQ(got.checksum, want.checksum) << what;
+    EXPECT_EQ(got.runtime_s, want.runtime_s) << what;
+    for (std::size_t i = 0; i < kNumMetrics; ++i) {
+        Metric m = static_cast<Metric>(i);
+        EXPECT_EQ(got.metrics[m], want.metrics[m])
+            << what << ' ' << metricName(m);
+    }
+    const KernelProfile &a = got.profile;
+    const KernelProfile &b = want.profile;
+    EXPECT_EQ(a.ops, b.ops) << what;
+    EXPECT_TRUE(statsEqual(a.l1i, b.l1i)) << what;
+    EXPECT_TRUE(statsEqual(a.l1d, b.l1d)) << what;
+    EXPECT_TRUE(statsEqual(a.l2, b.l2)) << what;
+    EXPECT_TRUE(statsEqual(a.l3, b.l3)) << what;
+    EXPECT_EQ(a.branch.branches, b.branch.branches) << what;
+    EXPECT_EQ(a.branch.mispredicts, b.branch.mispredicts) << what;
+    EXPECT_EQ(a.disk_read_bytes, b.disk_read_bytes) << what;
+    EXPECT_EQ(a.disk_write_bytes, b.disk_write_bytes) << what;
+    EXPECT_EQ(a.net_bytes, b.net_bytes) << what;
+    EXPECT_EQ(a.accel_macs, b.accel_macs) << what;
+    EXPECT_EQ(a.accel_cycles, b.accel_cycles) << what;
+}
+
+std::vector<const ProxyBenchmark *>
+views(const std::vector<ProxyBenchmark> &proxies)
+{
+    std::vector<const ProxyBenchmark *> out;
+    for (const ProxyBenchmark &p : proxies)
+        out.push_back(&p);
+    return out;
+}
+
+/** execute() on a fresh proxy (empty memo) with @p clone's parameter
+ *  vector: the reference every batched result must equal. */
+ProxyResult
+freshExecute(const Workload &workload, const ProxyBenchmark &clone,
+             const MachineConfig &machine, std::uint64_t trace_cap)
+{
+    ProxyBenchmark fresh = decomposeWorkload(workload);
+    fresh.baseParams().seed = clone.baseParams().seed;
+    for (const TunableParam &p : clone.parameters())
+        fresh.setParameter(p.name, p.value);
+    return fresh.execute(machine, trace_cap);
+}
+
+/**
+ * One mixed tuner-style batch over @p workload's proxy -- unchanged,
+ * a weight-only move, a data_size move, a num_tasks move (a new L3
+ * sharer count, so a second replica pool), a gc_intensity move and a
+ * duplicate of the data_size move -- executed on an empty memo with
+ * 1, 3 and 4 workers: every result must equal a fresh execute().
+ */
+void
+expectBatchMatchesFreshExecute(const Workload &workload)
+{
+    const MachineConfig machine = westmereE5645();
+    const std::uint64_t trace_cap = 128 * 1024;
+    auto mixedBatch = [&]() {
+        ProxyBenchmark base = decomposeWorkload(workload);
+        base.baseParams().seed = 4321;
+        std::vector<ProxyBenchmark> batch(6, base.cloneShallow());
+        const ProxyEdge &e0 = base.edges()[0];
+        batch[1].setParameter("weight:0:" + e0.motif->name(),
+                              e0.weight * 1.5);
+        batch[2].setParameter("data_size", 2.0 * 1024 * 1024);
+        batch[3].setParameter("num_tasks", 2);
+        batch[4].setParameter("gc_intensity", 5.0);
+        batch[5] = batch[2].cloneShallow();
+        return batch;
+    };
+
+    std::vector<ProxyResult> want;
+    for (const ProxyBenchmark &clone : mixedBatch())
+        want.push_back(freshExecute(workload, clone, machine, trace_cap));
+
+    for (std::size_t jobs : {1, 3, 4}) {
+        std::vector<ProxyBenchmark> batch = mixedBatch();
+        auto got = ProxyBenchmark::executeBatch(views(batch), machine,
+                                                trace_cap, jobs);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(got[i].has_value());
+            expectSameProxyResult(*got[i], want[i],
+                                  workload.name() + " jobs " +
+                                      std::to_string(jobs) + " clone " +
+                                      std::to_string(i));
+        }
+    }
+}
+
+TEST(ProxyBatch, BigDataBatchMatchesFreshExecute)
+{
+    expectBatchMatchesFreshExecute(*makeTeraSort(64 * 1024 * 1024));
+}
+
+TEST(ProxyBatch, AiBatchMatchesFreshExecute)
+{
+    expectBatchMatchesFreshExecute(*makeAlexNet(10, 32));
+}
+
+TEST(ProxyBatch, SharedEdgesSimulateOnce)
+{
+    const MachineConfig machine = westmereE5645();
+    ProxyBenchmark base = decomposeWorkload(*makeKMeans(64 * 1024 * 1024));
+    const std::size_t edges = base.edges().size();
+    ASSERT_EQ(base.simulatedEdgesForTest(), 0u);
+
+    // Four identical clones on an empty memo: each edge once.
+    std::vector<ProxyBenchmark> same(4, base.cloneShallow());
+    auto first = ProxyBenchmark::executeBatch(views(same), machine,
+                                              128 * 1024, 4);
+    EXPECT_EQ(base.simulatedEdgesForTest(), edges);
+    for (const auto &r : first) {
+        ASSERT_TRUE(r.has_value());
+        expectSameProxyResult(*r, *first[0], "identical clone");
+    }
+
+    // Weights only scale traced profiles: a weight-only batch is
+    // served entirely from the memo.
+    std::vector<ProxyBenchmark> weights;
+    for (std::size_t ei = 0; ei < edges; ++ei) {
+        ProxyBenchmark &clone = weights.emplace_back(base.cloneShallow());
+        const ProxyEdge &e = base.edges()[ei];
+        clone.setParameter("weight:" + std::to_string(ei) + ":" +
+                               e.motif->name(),
+                           e.weight * 2.0);
+    }
+    auto moved = ProxyBenchmark::executeBatch(views(weights), machine,
+                                              128 * 1024, 4);
+    EXPECT_EQ(base.simulatedEdgesForTest(), edges);
+    for (const auto &r : moved)
+        EXPECT_TRUE(r.has_value());
+}
+
+TEST(ProxyBatch, StopLeavesClonesWithSkippedEdgesEmpty)
+{
+    const MachineConfig machine = westmereE5645();
+    auto workload = makeTeraSort(64 * 1024 * 1024);
+    ProxyBenchmark base = decomposeWorkload(*workload);
+    base.execute(machine, 128 * 1024);
+    const std::size_t warm = base.simulatedEdgesForTest();
+    ASSERT_GE(base.edges().size(), 2u);
+
+    // A weight-only clone (all memo hits) and a gc_intensity move
+    // (every edge new); the stop trips after one simulation.
+    std::vector<ProxyBenchmark> batch(2, base.cloneShallow());
+    const ProxyEdge &e0 = base.edges()[0];
+    batch[0].setParameter("weight:0:" + e0.motif->name(),
+                          e0.weight * 3.0);
+    batch[1].setParameter("gc_intensity", 7.0);
+    std::atomic<int> polls{0};
+    auto results = ProxyBenchmark::executeBatch(
+        views(batch), machine, 128 * 1024, 1,
+        [&polls]() { return polls.fetch_add(1) >= 1; });
+
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[0].has_value());
+    expectSameProxyResult(
+        *results[0], freshExecute(*workload, batch[0], machine, 128 * 1024),
+        "memo-served clone");
+    EXPECT_FALSE(results[1].has_value());
+    EXPECT_EQ(base.simulatedEdgesForTest(), warm + 1);
 }
 
 TEST(SimEngine, FusedEmissionHelpersMatchUnfusedTotals)

@@ -9,14 +9,18 @@
  *   - a proxy already within the deviation gate reports zero
  *     iterations, and an unqualified stored vector is surfaced as
  *     such on cache hits,
+ *   - a deadline that trips inside the impact sweep skips only the
+ *     candidates with an unsimulated edge, and nothing is cached,
  *   - the speculative batched tuner produces a bit-identical
- *     TunerReport for every jobs value.
+ *     TunerReport for every jobs value, on big-data and AI proxies.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -308,49 +312,110 @@ TEST(TunerReportFixes, InterruptedUnqualifiedSearchIsNotCached)
     EXPECT_EQ(dir.files().size(), 1u);
 }
 
+TEST(TunerReportFixes, StopMidImpactSweepSkipsOnlyUnsimulatedCandidates)
+{
+    TempCacheDir dir("test-tuner-cache-midsweep");
+    TunerConfig cfg;
+    cfg.trace_cap = 256 * kKiB;
+    cfg.impact_samples = 2;
+    MachineConfig machine = westmereE5645();
+    ProxyBenchmark probe = tinyProxy();
+    MetricVector target =
+        probe.execute(machine, cfg.trace_cap).metrics;
+    target[Metric::Ipc] *= 3.0;  // unreachable: never qualifies
+
+    // The uninterrupted sweep alone: the baseline plus every impact
+    // candidate.
+    TunerConfig sweep_only = cfg;
+    sweep_only.max_iterations = 0;
+    ProxyBenchmark swept = tinyProxy();
+    const std::uint32_t full_sweep =
+        AutoTuner(target, sweep_only).tune(swept, machine).evaluations;
+
+    for (std::size_t jobs : {1, 4}) {
+        // Two edge simulations, then the deadline trips inside the
+        // impact sweep (the baseline is never polled).
+        auto polls = std::make_shared<std::atomic<int>>(0);
+        cfg.jobs = jobs;
+        cfg.should_stop = [polls]() { return polls->fetch_add(1) >= 2; };
+        ProxyBenchmark proxy = tinyProxy();
+        TunerReport rep = tuneWithCache(dir.path, "midsweep", proxy,
+                                        target, machine, cfg);
+        EXPECT_GT(polls->load(), 2) << "jobs " << jobs;
+        EXPECT_TRUE(rep.interrupted) << "jobs " << jobs;
+        EXPECT_FALSE(rep.qualified) << "jobs " << jobs;
+        EXPECT_EQ(rep.iterations, 0u) << "jobs " << jobs;
+        // Candidates served entirely from the memo (weight moves)
+        // still count; those with a skipped edge stay unexecuted.
+        EXPECT_GT(rep.evaluations, 1u) << "jobs " << jobs;
+        EXPECT_LT(rep.evaluations, full_sweep) << "jobs " << jobs;
+        EXPECT_TRUE(dir.files().empty()) << "jobs " << jobs;
+    }
+}
+
 // ------------------------------------------- parallel determinism
 
-TEST(ParallelTuner, ReportIsBitIdenticalForAnyJobCount)
+/**
+ * Tune @p workload's proxy toward @p target with 1, 3 and 4 workers
+ * (3 does not divide the speculation width of 4): the whole report
+ * and the tuned parameter vector must match bit for bit.
+ */
+void
+expectTunerReportIndependentOfJobs(const Workload &workload,
+                                   const MetricVector &target)
 {
-    auto w = makeTeraSort(2ULL << 30);
-    WorkloadResult real = w->run(paperCluster5());
-
     auto tuneWith = [&](std::size_t jobs) {
-        ProxyBenchmark proxy = decomposeWorkload(*w);
+        ProxyBenchmark proxy = decomposeWorkload(workload);
         TunerConfig cfg;
         cfg.max_iterations = 3;
         cfg.impact_samples = 1;
         cfg.trace_cap = 128 * kKiB;
         cfg.jobs = jobs;
-        AutoTuner tuner(real.metrics, cfg);
+        AutoTuner tuner(target, cfg);
         TunerReport rep = tuner.tune(proxy, westmereE5645());
         return std::make_pair(rep, proxy.parameters());
     };
 
     auto [serial, serial_params] = tuneWith(1);
-    auto [parallel, parallel_params] = tuneWith(4);
-
-    // The speculative-descent width is independent of the job count,
-    // candidates are enumerated and merged in a fixed order, and
-    // acceptance ties break by rank -- so the whole report matches
-    // bit for bit.
-    EXPECT_EQ(serial.evaluations, parallel.evaluations);
-    EXPECT_EQ(serial.iterations, parallel.iterations);
-    EXPECT_EQ(serial.qualified, parallel.qualified);
-    EXPECT_EQ(serial.max_deviation, parallel.max_deviation);
-    EXPECT_EQ(serial.avg_accuracy, parallel.avg_accuracy);
-    EXPECT_EQ(serial.final_result.checksum,
-              parallel.final_result.checksum);
-    for (Metric m : accuracyMetricSet()) {
-        EXPECT_EQ(serial.proxy_metrics[m], parallel.proxy_metrics[m])
-            << metricName(m);
-    }
-    ASSERT_EQ(serial_params.size(), parallel_params.size());
-    for (std::size_t i = 0; i < serial_params.size(); ++i) {
-        EXPECT_EQ(serial_params[i].value, parallel_params[i].value)
-            << serial_params[i].name;
-    }
     EXPECT_GT(serial.evaluations, 1u);  // the search actually ran
+    for (std::size_t jobs : {3, 4}) {
+        auto [parallel, parallel_params] = tuneWith(jobs);
+        // The speculative-descent width is independent of the job
+        // count, candidates are enumerated and merged in a fixed
+        // order, and acceptance ties break by rank -- so the whole
+        // report matches bit for bit.
+        EXPECT_EQ(serial.evaluations, parallel.evaluations) << jobs;
+        EXPECT_EQ(serial.iterations, parallel.iterations) << jobs;
+        EXPECT_EQ(serial.qualified, parallel.qualified) << jobs;
+        EXPECT_EQ(serial.max_deviation, parallel.max_deviation) << jobs;
+        EXPECT_EQ(serial.avg_accuracy, parallel.avg_accuracy) << jobs;
+        EXPECT_EQ(serial.final_result.checksum,
+                  parallel.final_result.checksum)
+            << jobs;
+        for (Metric m : accuracyMetricSet()) {
+            EXPECT_EQ(serial.proxy_metrics[m], parallel.proxy_metrics[m])
+                << metricName(m) << " jobs " << jobs;
+        }
+        ASSERT_EQ(serial_params.size(), parallel_params.size());
+        for (std::size_t i = 0; i < serial_params.size(); ++i) {
+            EXPECT_EQ(serial_params[i].value, parallel_params[i].value)
+                << serial_params[i].name << " jobs " << jobs;
+        }
+    }
+}
+
+TEST(ParallelTuner, ReportIsBitIdenticalForAnyJobCount)
+{
+    auto w = makeTeraSort(2ULL << 30);
+    WorkloadResult real = w->run(paperCluster5());
+    expectTunerReportIndependentOfJobs(*w, real.metrics);
+}
+
+TEST(ParallelTuner, AiReportIsBitIdenticalForAnyJobCount)
+{
+    auto w = makeAlexNet(10, 32);
+    WorkloadResult real = w->run(paperCluster5());
+    expectTunerReportIndependentOfJobs(*w, real.metrics);
 }
 
 } // namespace
