@@ -14,7 +14,6 @@
 #include "core/proxy_benchmark.hh"
 #include "core/proxy_factory.hh"
 #include "core/reference_cache.hh"
-#include "sim/compressed_trace.hh"
 #include "sim/engine.hh"
 #include "sim/trace.hh"
 #include "stack/managed_heap.hh"
@@ -24,10 +23,11 @@ namespace dmpb {
 
 namespace {
 
-/** Capture block size, in events. Deliberately NOT --sim-batch: block
- *  boundaries are invisible to the interleaver's cursor, but pinning
- *  the capacity keeps captured streams byte-identical across engine
- *  configurations by construction. */
+/** Capture block size, in events. Deliberately NOT --sim-batch: the
+ *  recorder cuts turns at quantum events of the concatenated stream,
+ *  so block boundaries are invisible to it, but pinning the capacity
+ *  keeps the capture identical across engine configurations by
+ *  construction. */
 constexpr std::size_t kCaptureBlockEvents = 64 * 1024;
 
 /** Per-tenant address-space stride (32 TiB). Captured streams are
@@ -62,28 +62,14 @@ aiBytesPerRun(const MotifParams &p)
     return batch * per_sample;
 }
 
-/** Everything captured and replayed for one tenant. */
-struct TenantWork
-{
-    std::string full_name;
-    std::string short_name;
-    TenantStream stream;
-    /** Trace-level counters (ops, disk, net); cache and branch stats
-     *  are zero -- they come from the replays. */
-    KernelProfile captured;
-    TenantReplayStats isolated;
-};
-
 /**
  * Capture sink that rebases each filled block into the tenant's
- * private address slot and folds it into the delta-compressed stream.
- * Rebase-then-compress per block is equivalent to compressing first
- * and rebasing later (rebase is per-event, the codec is stateful but
- * exact), so compression changes nothing but the footprint.
+ * private address slot and replays it straight through the tenant's
+ * recorder, so no captured event is kept past its block.
  */
-struct CompressingCaptureSink final : BatchSink
+struct RecordingCaptureSink final : BatchSink
 {
-    CompressedTrace *trace = nullptr;
+    TenantRecorder *recorder = nullptr;
     std::uint64_t rebase_offset = 0;
 
     void
@@ -91,12 +77,15 @@ struct CompressingCaptureSink final : BatchSink
     {
         if (rebase_offset != 0)
             block.rebase(rebase_offset);
-        trace->append(block);
+        recorder->record(block);
     }
 };
 
 /**
- * Trace one tenant's proxy DAG into a captured event stream.
+ * Trace one tenant's proxy DAG and record it: @p recorder receives
+ * the captured stream, @return the trace-level counters (ops, disk,
+ * net; the cache and branch stats inside are zero, they come from the
+ * recorder and the interleaver).
  *
  * Mirrors ProxyBenchmark::execute's per-edge parameterisation (seed
  * derivation, working-set bounding, chunk clamping, code footprint,
@@ -105,10 +94,10 @@ struct CompressingCaptureSink final : BatchSink
  * shared node, so its edges form a single program-ordered stream.
  * No weight/task extrapolation is applied -- the captured trace (one
  * pass over each edge's bounded working set) IS the tenant's
- * execution window, replayed verbatim under both arrangements.
+ * execution window in both arrangements.
  */
-void
-captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
+KernelProfile
+captureTenant(TenantRecorder &recorder, const ProxyBenchmark &proxy,
               const MachineConfig &machine, Scale scale,
               std::uint64_t rebase_offset)
 {
@@ -120,8 +109,8 @@ captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
         64 * 1024,
         std::min<std::uint64_t>(base.data_size / tasks, trace_cap));
 
-    CompressingCaptureSink sink;
-    sink.trace = &work.stream.trace;
+    RecordingCaptureSink sink;
+    sink.recorder = &recorder;
     sink.rebase_offset = rebase_offset;
     TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
     ctx.setCaptureSink(&sink);
@@ -155,33 +144,8 @@ captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
         }
     }
     // Flushes the final partial block into the sink and snapshots the
-    // trace-level counters (the model stats inside are all zero).
-    work.captured = ctx.profile();
-    work.stream.trace.shrinkToFit();
-}
-
-/** Replay one captured stream through a private full-LLC hierarchy --
- *  the isolated baseline. */
-TenantReplayStats
-replayIsolated(const TenantStream &stream, const MachineConfig &machine,
-               ReplayMode mode)
-{
-    CacheHierarchy caches(machine.caches, 1);
-    GsharePredictor predictor(machine.predictor.table_bits,
-                              machine.predictor.history_bits);
-    // Decode in capture-block-sized chunks; chunk boundaries bound
-    // run coalescing exactly like the original block boundaries did.
-    CompressedTrace::Cursor cursor(stream.trace);
-    AccessBatch scratch;
-    while (cursor.decode(scratch, kCaptureBlockEvents) > 0)
-        replayBatch(scratch, caches, predictor, mode);
-    TenantReplayStats st;
-    st.l1i = caches.l1i().stats();
-    st.l1d = caches.l1d().stats();
-    st.l2 = caches.l2().stats();
-    st.l3 = caches.l3Stats();
-    st.branch = predictor.stats();
-    return st;
+    // trace-level counters.
+    return ctx.profile();
 }
 
 /** Assemble the full profile of one replay: captured trace-level
@@ -375,9 +339,12 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
         }
 
         const MachineConfig &machine = cluster.node;
-        std::vector<TenantWork> work(tenants);
+        std::vector<KernelProfile> captured(tenants);
+        std::vector<TenantRecording> recorded(tenants);
 
-        // Stage 1: capture every tenant's event stream. Tenants are
+        // Stage 1: capture every tenant's event stream and record it
+        // through a private full-LLC hierarchy as it fills: the
+        // isolated baseline plus the tenant's LLC stream. Tenants are
         // independent (each owns its slot), so this shards like any
         // measurement -- bit-identical for every shard count.
         {
@@ -385,75 +352,51 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
             jobs.reserve(tenants);
             for (std::size_t i = 0; i < tenants; ++i) {
                 jobs.push_back([&, i]() {
-                    TenantWork &w = work[i];
-                    w.full_name = workloads[i]->name();
-                    w.short_name = shortName(w.full_name);
-                    w.stream.name = w.short_name;
                     ProxyBenchmark proxy =
                         decomposeWorkload(*workloads[i]);
                     proxy.baseParams().seed =
-                        mixSeed(spec.seed, w.short_name);
-                    // Disjoint address space per tenant (the sink
-                    // rebases each block before compressing); the
-                    // isolated baseline replays the same rebased
-                    // stream, so the comparison stays like-for-like.
-                    captureTenant(w, proxy, machine, spec.scale,
-                                  i * kTenantAddrStride);
+                        mixSeed(spec.seed, out.tenants[i].short_name);
+                    // Disjoint address space per tenant: the sink
+                    // rebases each block before the recorder sees it,
+                    // so the isolated and co-located runs share one
+                    // stream.
+                    TenantRecorder recorder(machine,
+                                            spec.interleave.quantum,
+                                            cluster.sim.replay);
+                    captured[i] =
+                        captureTenant(recorder, proxy, machine,
+                                      spec.scale, i * kTenantAddrStride);
+                    recorded[i] = recorder.finish();
                 });
             }
             runShardedJobs(cluster.sim.shards, std::move(jobs),
                            nullptr, "co-location capture");
         }
 
-        // Stage 2: isolated baselines, one private full-LLC replay
-        // per tenant (also sharded, also slot-isolated).
-        {
-            std::vector<std::function<void()>> jobs;
-            jobs.reserve(tenants);
-            for (std::size_t i = 0; i < tenants; ++i) {
-                jobs.push_back([&, i]() {
-                    work[i].isolated = replayIsolated(
-                        work[i].stream, machine, cluster.sim.replay);
-                });
-            }
-            runShardedJobs(cluster.sim.shards, std::move(jobs),
-                           nullptr, "isolated baseline replay");
-        }
-
-        // Capture-footprint stats snapshot, before the streams move
-        // into the interleaver. Reporting only -- the outcome
-        // checksum deliberately excludes these.
+        // Stream sizes, for the report only: the outcome checksum
+        // deliberately excludes them.
         for (std::size_t i = 0; i < tenants; ++i) {
-            const CompressedTrace &trace = work[i].stream.trace;
-            TenantOutcome &t = out.tenants[i];
-            t.captured_events = trace.events();
-            t.compressed_bytes = trace.compressedBytes();
-            t.compression_ratio = trace.compressionRatio();
+            out.tenants[i].captured_events = recorded[i].events;
+            out.tenants[i].llc_accesses = recorded[i].llc.size();
         }
 
-        // Stage 3: the co-located replay through one SharedL3 --
-        // single-threaded by design, so the contention pattern is a
-        // pure function of the spec.
-        std::vector<TenantStream> streams;
-        streams.reserve(tenants);
-        for (TenantWork &w : work)
-            streams.push_back(std::move(w.stream));
-        InterleaveResult inter = interleaveReplay(
-            machine, streams, *policy, spec.interleave,
-            cluster.sim.replay);
+        // Stage 2: the co-located run, every LLC stream through one
+        // SharedL3 -- single-threaded by design, so the contention
+        // pattern is a pure function of the spec.
+        const InterleaveResult inter =
+            interleaveLlc(machine, recorded, *policy, spec.interleave);
 
-        // Stage 4: per-tenant runtimes/metrics and the aggregates.
+        // Stage 3: per-tenant runtimes/metrics and the aggregates.
         std::vector<WorkloadResult> iso_results(tenants);
         std::vector<WorkloadResult> colo_results(tenants);
         for (std::size_t i = 0; i < tenants; ++i) {
             TenantOutcome &t = out.tenants[i];
             iso_results[i] = deriveResult(
-                t.name, assembleProfile(work[i].captured,
-                                        work[i].isolated),
+                t.name, assembleProfile(captured[i],
+                                        recorded[i].isolated),
                 machine);
             colo_results[i] = deriveResult(
-                t.name, assembleProfile(work[i].captured,
-                                        inter.tenants[i]),
+                t.name, assembleProfile(captured[i], inter.tenants[i]),
                 machine);
             t.isolated_runtime_s = iso_results[i].runtime_s;
             t.isolated_metrics = iso_results[i].metrics;

@@ -8,15 +8,21 @@
  * are co-scheduled on one node?" -- the production situation the
  * BigDataBench suite is actually run in. The flow:
  *
- *   1. Capture: each tenant's proxy DAG is traced once with a
- *      capture-sink TraceContext (sim/trace.hh), producing its event
- *      stream without touching any model. Tenants capture
- *      independently, so this stage shards like every measurement.
- *   2. Isolated baseline: each stream replays through a private
- *      full-LLC hierarchy (also sharded, per tenant).
- *   3. Co-located run: all streams replay through ONE SharedL3 via
- *      the deterministic round-robin interleaver
- *      (sim/colocation.hh) under the selected partition policy.
+ *   1. Capture and record: each tenant's proxy DAG is traced once
+ *      with a capture-sink TraceContext (sim/trace.hh). The sink
+ *      rebases each filled block into the tenant's address slot and
+ *      hands it straight to the tenant's TenantRecorder
+ *      (sim/colocation.hh), which replays it through a private
+ *      full-LLC hierarchy -- the isolated baseline -- and keeps only
+ *      the tenant's LLC stream, the accesses its private L2 passes to
+ *      the L3. Tenants are independent, so this stage shards like
+ *      every measurement.
+ *   2. Co-located run: the deterministic round-robin interleaver
+ *      (interleaveLlc) replays every LLC stream through ONE SharedL3
+ *      under the selected partition policy. The private levels see
+ *      the same stream either way and nothing flows back from the
+ *      L3, so this equals replaying K full hierarchies around one
+ *      shared L3, at a few percent of the cost.
  *
  * Per-tenant runtimes come from the analytic core timing over the
  * replayed profiles; the three CPA-style aggregates compare them:
@@ -27,7 +33,7 @@
  *
  * Everything here is bit-deterministic: capture, both replays and the
  * aggregates are pure functions of (spec, cluster), independent of
- * shard and worker counts. Outcomes are cached through the
+ * shard and worker counts and of the replay kernel. Outcomes are cached through the
  * reference-measurement cache; keys carry the full tenant set, the
  * policy and the interleaver quanta, so no co-located result can ever
  * be served to a different pairing or policy.
@@ -78,12 +84,15 @@ struct TenantOutcome
     MetricVector colocated_metrics;
     /** T_colo / T_iso (>= ~1 under contention). */
     double slowdown = 0.0;
-    /** @{ Capture-stream footprint (reporting only: NOT part of the
-     *  outcome checksum, and zero when the outcome was restored from
-     *  the reference cache -- cached entries predate the stream). */
+    /** @{ Stream sizes (reporting only: NOT part of the outcome
+     *  checksum, and zero when the outcome was restored from the
+     *  reference cache -- nothing was captured). */
+    /** Events captured from the tenant's proxy DAG. */
     std::uint64_t captured_events = 0;
-    std::uint64_t compressed_bytes = 0;
-    double compression_ratio = 0.0;
+    /** Of those, the accesses that missed the private L2 and reached
+     *  the L3: the LLC stream, all co-location keeps in memory of the
+     *  tenant (8 bytes per access). */
+    std::uint64_t llc_accesses = 0;
     /** @} */
 };
 

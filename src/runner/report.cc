@@ -112,8 +112,7 @@ writeColocationJson(const ColocationOutcome &o)
             json.field("short_name", t.short_name);
             json.field("slowdown", t.slowdown);
             json.field("captured_events", t.captured_events);
-            json.field("compressed_bytes", t.compressed_bytes);
-            json.field("compression_ratio", t.compression_ratio);
+            json.field("llc_accesses", t.llc_accesses);
             json.openObject("isolated");
             json.field("runtime_s", t.isolated_runtime_s);
             emitMetrics(json, t.isolated_metrics);
@@ -141,10 +140,10 @@ renderColocationTable(const ColocationOutcome &o)
     }
     TextTable table;
     table.header({"Tenant", "Iso (s)", "Colo (s)", "Slowdown",
-                  "L3 hit iso", "L3 hit colo", "Events", "Stream"});
+                  "L3 hit iso", "L3 hit colo", "Events", "LLC stream"});
     for (const TenantOutcome &t : o.tenants) {
-        // Capture-stream stats are absent ("-") when the outcome was
-        // restored from the reference cache: nothing was captured.
+        // Stream sizes are absent ("-") when the outcome was restored
+        // from the reference cache: nothing was captured.
         const bool captured = t.captured_events > 0;
         table.row({t.short_name,
                    fmt("%.3f", t.isolated_runtime_s),
@@ -154,11 +153,9 @@ renderColocationTable(const ColocationOutcome &o)
                        100.0 * t.isolated_metrics[Metric::L3Hit]),
                    fmt("%.1f%%",
                        100.0 * t.colocated_metrics[Metric::L3Hit]),
-                   captured ? fmt("%llu",
-                                  static_cast<unsigned long long>(
-                                      t.captured_events))
+                   captured ? std::to_string(t.captured_events)
                             : std::string("-"),
-                   captured ? fmt("%.1fx", t.compression_ratio)
+                   captured ? std::to_string(t.llc_accesses)
                             : std::string("-")});
     }
     os << table.render();

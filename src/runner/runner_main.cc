@@ -406,9 +406,9 @@ main(int argc, char **argv)
         } catch (const std::invalid_argument &e) {
             usageError(e.what());
         }
-        // Co-location replays every tenant's full trace three times
-        // (capture, isolated baseline, shared-LLC run); default to the
-        // quick cell unless the user asked for a specific scale.
+        // Co-location traces every tenant's full proxy DAG and replays
+        // it through private caches once; default to the quick cell
+        // unless the user asked for a specific scale.
         colo.scale = scale_given ? scale : Scale::Quick;
         colo.seed = options.seed;
 

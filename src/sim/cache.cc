@@ -218,6 +218,12 @@ CacheHierarchy::CacheHierarchy(const Params &params, SharedL3 &shared_l3,
 }
 
 void
+CacheHierarchy::logLlc(std::uint64_t addr, bool write)
+{
+    llc_log_->push_back((addr & ~1ULL) | (write ? 1 : 0));
+}
+
+void
 CacheHierarchy::replay(const AccessBatch &batch,
                        BranchPredictor &predictor, ReplayMode mode)
 {

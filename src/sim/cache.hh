@@ -426,17 +426,22 @@ class CacheModel
 
 /**
  * One L3 shared by K tenants -- the co-location replacement for the
- * private-slice approximation. K CacheHierarchy instances reference
- * one SharedL3, each with its own tenant index, so their traffic
- * contends for the same sets and ways while per-tenant counters and
- * allocation masks stay separate.
+ * private-slice approximation. Each tenant accesses it under its own
+ * tenant index, so their traffic contends for the same sets and ways
+ * while per-tenant counters and allocation masks stay separate.
+ *
+ * The co-location interleaver (sim/colocation) drives model()
+ * directly with each tenant's recorded LLC stream, the accesses its
+ * private L2 missed on. A CacheHierarchy can also route its L3
+ * traffic into a SharedL3 (its shared-L3 constructor); the tests'
+ * full-hierarchy reference interleaver does so.
  *
  * Thread confinement, not locking: the deterministic round-robin
- * interleaver (sim/colocation) replays every tenant's stream on ONE
- * thread, so the shared model needs no mutex and adds zero cost to
- * the per-access path. Hierarchies referencing a SharedL3 must not be
- * driven from concurrent threads; the clang thread-safety build keeps
- * this cheap to uphold because there is simply no cross-thread API.
+ * interleaver replays every tenant's LLC stream on ONE thread, so the
+ * shared model needs no mutex and adds zero cost to the per-access
+ * path. A SharedL3 must not be driven from concurrent threads; the
+ * clang thread-safety build keeps this cheap to uphold because there
+ * is simply no cross-thread API.
  */
 class SharedL3
 {
@@ -477,10 +482,12 @@ class SharedL3
  *    which matters because every traced memory reference passes
  *    through here.
  *
- *  - shared (co-location): the hierarchy references a caller-owned
- *    SharedL3 under its tenant index; L1/L2 stay private. The caller
- *    must keep the SharedL3 alive for the hierarchy's lifetime and
- *    replay contending hierarchies from a single thread.
+ *  - shared: the hierarchy references a caller-owned SharedL3 under
+ *    its tenant index; L1/L2 stay private. The caller must keep the
+ *    SharedL3 alive for the hierarchy's lifetime and replay
+ *    contending hierarchies from a single thread. The tests use it
+ *    as the reference for co-location's recorded LLC streams (see
+ *    SharedL3).
  */
 class CacheHierarchy
 {
@@ -515,7 +522,7 @@ class CacheHierarchy
             return;
         if (l2_.access(addr, write))
             return;
-        l3_->access(addr, write, l3_tenant_);
+        l3Access(addr, write);
     }
 
     /**
@@ -532,7 +539,7 @@ class CacheHierarchy
             return;
         if (l2_.access(addr, write))
             return;
-        l3_->access(addr, write, l3_tenant_);
+        l3Access(addr, write);
     }
 
     /**
@@ -555,7 +562,7 @@ class CacheHierarchy
             return;
         if (l2_.access(addr, false))
             return;
-        l3_->access(addr, false, l3_tenant_);
+        l3Access(addr, false);
     }
 
     /**
@@ -583,6 +590,16 @@ class CacheHierarchy
     /** Tenant index of this context's L3 traffic (0 when private). */
     std::uint32_t l3Tenant() const { return l3_tenant_; }
 
+    /**
+     * Tap the L3's input: from now on every access an L2 miss passes
+     * to the L3 is also appended to @p log as the byte address with
+     * bit 0 replaced by the write flag (bit 0 never reaches the index
+     * of a line of two or more bytes). nullptr, the default, turns the
+     * tap off. The log must outlive the tap. Only co-location's
+     * TenantRecorder sets one; the tap changes no model state.
+     */
+    void setLlcLog(std::vector<std::uint64_t> *log) { llc_log_ = log; }
+
     /** Drop all cached contents. In shared mode this flushes the
      *  SharedL3 too (every tenant's lines): resetting one tenant of a
      *  contended cache is not a meaningful operation. */
@@ -601,6 +618,19 @@ class CacheHierarchy
     std::uint64_t stateHashForTest() const;
 
   private:
+    /** The L2-miss path of every walk: feed the tap, then the L3. */
+    void
+    l3Access(std::uint64_t addr, bool write)
+    {
+        if (llc_log_ != nullptr) [[unlikely]]
+            logLlc(addr, write);
+        l3_->access(addr, write, l3_tenant_);
+    }
+
+    /** The tap's append, kept out of line so the inlined walks stay
+     *  small for the pipelines, which never set a tap. */
+    void logLlc(std::uint64_t addr, bool write);
+
     CacheModel l1i_;
     CacheModel l1d_;
     CacheModel l2_;
@@ -609,6 +639,8 @@ class CacheHierarchy
     /** The L3 this hierarchy drives (own slice or the shared one). */
     CacheModel *l3_;
     std::uint32_t l3_tenant_ = 0;
+    /** L3 input tap (setLlcLog); nullptr when off. */
+    std::vector<std::uint64_t> *llc_log_ = nullptr;
 };
 
 } // namespace dmpb

@@ -2,8 +2,9 @@
  * @file
  * Tests for the co-location stack: the multi-tenant CacheModel
  * (way masks, per-tenant stats), the sliceL3 clamp, partition
- * policies, the deterministic round-robin interleaver, and the
- * end-to-end runColocation flow (shard invariance, caching, policy
+ * policies, the deterministic round-robin interleaver (recorded LLC
+ * streams against a full-hierarchy reference), and the end-to-end
+ * runColocation flow (shard invariance, caching, policy
  * differentiation).
  */
 
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +27,8 @@
 #include "sim/branch.hh"
 #include "sim/cache.hh"
 #include "sim/colocation.hh"
+#include "sim/compressed_trace.hh"
+#include "sim/engine.hh"
 #include "sim/partition_policy.hh"
 #include "stack/cluster.hh"
 
@@ -485,6 +489,198 @@ TEST(Interleaver, ExhaustedTenantDropsOutAndRestFinish)
 }
 
 // ---------------------------------------------------------------------------
+// Recorded-LLC interleaving against the full-hierarchy reference
+
+/**
+ * The reference co-located replay: K full hierarchies whose L3
+ * traffic goes straight into one SharedL3, each decoding its stream a
+ * quantum at a time, round-robin, with the policy consulted every
+ * phase_quanta rounds. interleaveReplay() must match it exactly.
+ */
+InterleaveResult
+referenceInterleave(const MachineConfig &machine,
+                    const std::vector<TenantStream> &streams,
+                    PartitionPolicy &policy, const InterleaveConfig &cfg,
+                    ReplayMode mode)
+{
+    struct StreamCursor
+    {
+        explicit StreamCursor(const CompressedTrace &trace) : cur(trace) {}
+        CompressedTrace::Cursor cur;
+        AccessBatch scratch;
+    };
+
+    const auto tenants = static_cast<std::uint32_t>(streams.size());
+    const std::size_t quantum = cfg.quantum == 0 ? 1 : cfg.quantum;
+    const std::size_t phase_quanta =
+        cfg.phase_quanta == 0 ? 1 : cfg.phase_quanta;
+    const std::uint32_t ways = machine.caches.l3.associativity;
+
+    SharedL3 shared(machine.caches.l3, tenants);
+    std::vector<std::unique_ptr<CacheHierarchy>> hiers;
+    std::vector<std::unique_ptr<GsharePredictor>> preds;
+    std::vector<StreamCursor> cursors;
+    cursors.reserve(tenants);
+    std::size_t active = 0;
+    for (std::uint32_t t = 0; t < tenants; ++t) {
+        hiers.push_back(std::make_unique<CacheHierarchy>(
+            machine.caches, shared, t));
+        preds.push_back(std::make_unique<GsharePredictor>(
+            machine.predictor.table_bits,
+            machine.predictor.history_bits));
+        cursors.emplace_back(streams[t].trace);
+        active += cursors[t].cur.done() ? 0 : 1;
+    }
+
+    std::vector<std::uint64_t> masks = policy.initialMasks(tenants, ways);
+    for (std::uint32_t t = 0; t < tenants; ++t)
+        shared.setWayMask(t, masks[t]);
+
+    InterleaveResult result;
+    std::uint64_t rounds = 0;
+    while (active > 0) {
+        for (std::uint32_t t = 0; t < tenants; ++t) {
+            StreamCursor &c = cursors[t];
+            if (c.cur.done())
+                continue;
+            if (c.cur.decode(c.scratch, quantum) > 0)
+                replayBatch(c.scratch, *hiers[t], *preds[t], mode);
+            if (c.cur.done())
+                --active;
+        }
+        ++rounds;
+        if (active > 0 && rounds % phase_quanta == 0) {
+            std::vector<CacheStats> cumulative(tenants);
+            for (std::uint32_t t = 0; t < tenants; ++t)
+                cumulative[t] = shared.tenantStats(t);
+            if (policy.rebalance(cumulative, ways, masks)) {
+                for (std::uint32_t t = 0; t < tenants; ++t)
+                    shared.setWayMask(t, masks[t]);
+                ++result.rebalances;
+            }
+        }
+    }
+
+    for (std::uint32_t t = 0; t < tenants; ++t) {
+        TenantReplayStats st;
+        st.l1i = hiers[t]->l1i().stats();
+        st.l1d = hiers[t]->l1d().stats();
+        st.l2 = hiers[t]->l2().stats();
+        st.l3 = shared.tenantStats(t);
+        st.branch = preds[t]->stats();
+        result.tenants.push_back(st);
+    }
+    return result;
+}
+
+/** Westmere with a 256 KiB L3, small enough that the tenants below
+ *  fight over its ways and the way masks decide who keeps what. */
+MachineConfig
+contendedMachine()
+{
+    MachineConfig machine = westmereE5645();
+    machine.caches.l3.size_bytes = 256 * 1024;
+    return machine;
+}
+
+TEST(LlcInterleaver, MatchesFullHierarchyReference)
+{
+    const MachineConfig machine = contendedMachine();
+    // 17001 events end mid-quantum for quantum 7 and 4096; the empty
+    // tenant never takes a turn.
+    std::vector<TenantStream> streams;
+    streams.push_back(makeStream("a", 0xa1, 30000, 4096));
+    streams.push_back(makeStream("empty", 0xe0, 0, 4096));
+    streams.push_back(makeStream("b", 0xb2, 17001, 1000));
+    streams.push_back(makeStream("c", 0xc3, 24576, 512));
+
+    std::uint64_t cpa_rebalances = 0;
+    for (const std::string &name : partitionPolicyNames()) {
+        for (std::size_t quantum : {1, 7, 4096}) {
+            for (std::size_t phase : {1, 64}) {
+                for (ReplayMode mode :
+                     {ReplayMode::Vectorized, ReplayMode::Scalar}) {
+                    SCOPED_TRACE(name + " quantum " +
+                                 std::to_string(quantum) + " phase " +
+                                 std::to_string(phase) +
+                                 (mode == ReplayMode::Scalar
+                                      ? " scalar"
+                                      : " vector"));
+                    const InterleaveConfig cfg{quantum, phase};
+                    auto ref_policy = makePartitionPolicy(name);
+                    auto policy = makePartitionPolicy(name);
+                    const InterleaveResult want = referenceInterleave(
+                        machine, streams, *ref_policy, cfg, mode);
+                    const InterleaveResult got = interleaveReplay(
+                        machine, streams, *policy, cfg, mode);
+                    ASSERT_EQ(got.tenants.size(), want.tenants.size());
+                    EXPECT_EQ(got.rebalances, want.rebalances);
+                    for (std::size_t t = 0; t < want.tenants.size(); ++t)
+                        expectSameStats(got.tenants[t], want.tenants[t]);
+                    EXPECT_EQ(got.tenants[1].l1d.accesses, 0u);
+                    if (name == "critical-phase-aware")
+                        cpa_rebalances += want.rebalances;
+                }
+            }
+        }
+    }
+    // The masks must actually have moved somewhere in the sweep.
+    EXPECT_GT(cpa_rebalances, 0u);
+}
+
+TEST(TenantRecorder, IsolatedStatsAndLlcStreamIgnoreBlockSize)
+{
+    const MachineConfig machine = contendedMachine();
+    const TenantStream stream = makeStream("a", 0x5eed, 150000, 4096);
+    const std::size_t quantum = 1000;
+
+    // Reference: the whole stream in one plain replay through a
+    // private full-LLC hierarchy.
+    AccessBatch all;
+    CompressedTrace::Cursor all_cursor(stream.trace);
+    all_cursor.decode(all, stream.events());
+    CacheHierarchy caches(machine.caches, 1);
+    GsharePredictor predictor(machine.predictor.table_bits,
+                              machine.predictor.history_bits);
+    replayBatch(all, caches, predictor);
+    TenantReplayStats plain;
+    plain.l1i = caches.l1i().stats();
+    plain.l1d = caches.l1d().stats();
+    plain.l2 = caches.l2().stats();
+    plain.l3 = caches.l3Stats();
+    plain.branch = predictor.stats();
+
+    std::vector<TenantRecording> recs;
+    for (ReplayMode mode : {ReplayMode::Vectorized, ReplayMode::Scalar}) {
+        for (std::size_t block_events : {128, 4096, 65536}) {
+            TenantRecorder recorder(machine, quantum, mode);
+            CompressedTrace::Cursor cursor(stream.trace);
+            AccessBatch block;
+            while (cursor.decode(block, block_events) > 0)
+                recorder.record(block);
+            recs.push_back(recorder.finish());
+        }
+    }
+
+    const TenantRecording &first = recs.front();
+    EXPECT_EQ(first.events, stream.events());
+    EXPECT_EQ(first.quantum, quantum);
+    EXPECT_EQ(first.llc.size(), plain.l3.accesses);
+    ASSERT_FALSE(first.llc_turns.empty());
+    EXPECT_EQ(first.llc_turns.back().end, first.llc.size());
+    for (const TenantRecording &rec : recs) {
+        expectSameStats(rec.isolated, plain);
+        EXPECT_EQ(rec.events, first.events);
+        EXPECT_EQ(rec.llc, first.llc);
+        ASSERT_EQ(rec.llc_turns.size(), first.llc_turns.size());
+        for (std::size_t i = 0; i < rec.llc_turns.size(); ++i) {
+            EXPECT_EQ(rec.llc_turns[i].index, first.llc_turns[i].index);
+            EXPECT_EQ(rec.llc_turns[i].end, first.llc_turns[i].end);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end runColocation (tentpole engine/runner layers)
 
 ColocationSpec
@@ -531,28 +727,44 @@ TEST(RunColocation, UnknownWorkloadThrows)
 
 TEST(RunColocation, BitIdenticalAcrossShardCounts)
 {
+    // The replay kernel runs inside the sharded capture, so neither
+    // knob may show in any result or stream size.
     ColocationSpec spec = tinySpec("static-equal");
-    ClusterConfig c1 = paperCluster5();
-    c1.sim.shards = 1;
-    ClusterConfig c4 = paperCluster5();
-    c4.sim.shards = 4;
-    ColocationOutcome a =
-        runColocation(spec, c1, CacheConfig{}, CachePolicy::Use);
-    ColocationOutcome b =
-        runColocation(spec, c4, CacheConfig{}, CachePolicy::Use);
-    ASSERT_EQ(a.status, RunStatus::Ok) << a.error;
-    ASSERT_EQ(b.status, RunStatus::Ok) << b.error;
-    EXPECT_EQ(a.checksum, b.checksum);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-        EXPECT_EQ(a.tenants[i].isolated_runtime_s,
-                  b.tenants[i].isolated_runtime_s);
-        EXPECT_EQ(a.tenants[i].colocated_runtime_s,
-                  b.tenants[i].colocated_runtime_s);
+    std::vector<ColocationOutcome> runs;
+    for (std::size_t shards : {1, 4}) {
+        for (ReplayMode mode :
+             {ReplayMode::Vectorized, ReplayMode::Scalar}) {
+            ClusterConfig c = paperCluster5();
+            c.sim.shards = shards;
+            c.sim.replay = mode;
+            runs.push_back(
+                runColocation(spec, c, CacheConfig{}, CachePolicy::Use));
+            ASSERT_EQ(runs.back().status, RunStatus::Ok)
+                << runs.back().error;
+        }
     }
-    EXPECT_EQ(a.stp, b.stp);
-    EXPECT_EQ(a.antt, b.antt);
-    EXPECT_EQ(a.unfairness, b.unfairness);
+    const ColocationOutcome &a = runs.front();
+    for (const ColocationOutcome &b : runs) {
+        EXPECT_EQ(a.checksum, b.checksum);
+        ASSERT_EQ(a.tenants.size(), b.tenants.size());
+        for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+            EXPECT_EQ(a.tenants[i].isolated_runtime_s,
+                      b.tenants[i].isolated_runtime_s);
+            EXPECT_EQ(a.tenants[i].colocated_runtime_s,
+                      b.tenants[i].colocated_runtime_s);
+            EXPECT_EQ(a.tenants[i].captured_events,
+                      b.tenants[i].captured_events);
+            EXPECT_EQ(a.tenants[i].llc_accesses,
+                      b.tenants[i].llc_accesses);
+        }
+        EXPECT_EQ(a.stp, b.stp);
+        EXPECT_EQ(a.antt, b.antt);
+        EXPECT_EQ(a.unfairness, b.unfairness);
+    }
+    for (const TenantOutcome &t : a.tenants) {
+        EXPECT_GT(t.llc_accesses, 0u);
+        EXPECT_LT(t.llc_accesses, t.captured_events);
+    }
 }
 
 TEST(RunColocation, StaticEqualDiffersFromNoneUnderContention)

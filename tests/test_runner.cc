@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "core/colocation.hh"
 #include "runner/cli_parse.hh"
 #include "runner/report.hh"
 #include "runner/suite.hh"
@@ -596,6 +597,32 @@ TEST_F(RunnerTest, TableReportListsEveryOutcome)
     EXPECT_NE(table.find("PageRank"), std::string::npos);
     EXPECT_NE(table.find("Speedup"), std::string::npos);
     EXPECT_NE(table.find("checksum"), std::string::npos);
+}
+
+TEST_F(RunnerTest, ColocationReportPrintsStreamSizes)
+{
+    ColocationOutcome o;
+    o.status = RunStatus::Ok;
+    o.policy = "none";
+    TenantOutcome t;
+    t.name = "Hadoop Grep";
+    t.short_name = "Grep";
+    t.captured_events = 38801601;
+    t.llc_accesses = 806975;
+    o.tenants.push_back(t);
+
+    const std::string table = renderColocationTable(o);
+    EXPECT_NE(table.find("38801601"), std::string::npos) << table;
+    EXPECT_NE(table.find("806975"), std::string::npos) << table;
+
+    const std::string json = writeColocationJson(o);
+    JsonProbe probe(json);
+    EXPECT_TRUE(probe.valid()) << json;
+    EXPECT_NE(json.find("\"captured_events\":38801601"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"llc_accesses\":806975"), std::string::npos)
+        << json;
 }
 
 } // namespace
