@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,7 +29,7 @@ parseCacheValue(std::string_view text, double &out)
     const char *first = text.data();
     const char *last = first + text.size();
     auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc() && ptr == last;
+    return ec == std::errc() && ptr == last && std::isfinite(out);
 }
 
 void

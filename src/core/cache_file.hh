@@ -27,7 +27,8 @@ std::string cacheFilePath(const std::string &dir,
                           const std::string &ext);
 
 /** Strict, locale-independent double parse of the whole string
- *  (std::from_chars; rejects partial parses). */
+ *  (std::from_chars; rejects partial parses and non-finite values,
+ *  which no cache writer produces). */
 bool parseCacheValue(std::string_view text, double &out);
 
 /** A cache file that failed validation is worthless: drop it so the

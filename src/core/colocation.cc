@@ -10,14 +10,11 @@
 
 #include "base/logging.hh"
 #include "base/names.hh"
-#include "base/rng.hh"
 #include "core/proxy_benchmark.hh"
 #include "core/proxy_factory.hh"
 #include "core/reference_cache.hh"
 #include "sim/engine.hh"
 #include "sim/trace.hh"
-#include "stack/managed_heap.hh"
-#include "stack/stack_overhead.hh"
 
 namespace dmpb {
 
@@ -49,19 +46,6 @@ captureTraceCap(Scale scale)
     return 2ULL * 1024 * 1024;
 }
 
-/** Bytes one AI-motif invocation processes with parameters @p p
- *  (mirrors the proxy executor's extrapolation basis). */
-std::uint64_t
-aiBytesPerRun(const MotifParams &p)
-{
-    std::uint64_t batch = std::max<std::uint32_t>(1, p.batch_size);
-    std::uint64_t per_sample = 4ULL *
-                               std::max<std::uint32_t>(1, p.channels) *
-                               std::max<std::uint32_t>(1, p.height) *
-                               std::max<std::uint32_t>(1, p.width);
-    return batch * per_sample;
-}
-
 /**
  * Capture sink that rebases each filled block into the tenant's
  * private address slot and replays it straight through the tenant's
@@ -87,62 +71,27 @@ struct RecordingCaptureSink final : BatchSink
  * net; the cache and branch stats inside are zero, they come from the
  * recorder and the interleaver).
  *
- * Mirrors ProxyBenchmark::execute's per-edge parameterisation (seed
- * derivation, working-set bounding, chunk clamping, code footprint,
- * memory-management work) but runs every edge sequentially into ONE
- * capture-sink context: the tenant is one hardware context on the
- * shared node, so its edges form a single program-ordered stream.
- * No weight/task extrapolation is applied -- the captured trace (one
- * pass over each edge's bounded working set) IS the tenant's
- * execution window in both arrangements.
+ * Each edge runs exactly as the proxy executor traces it
+ * (ProxyBenchmark::edgeRun, traceEdge), but every edge runs
+ * sequentially into ONE capture-sink context: the tenant is one
+ * hardware context on the shared node, so its edges form a single
+ * program-ordered stream. No weight/task extrapolation is applied --
+ * the captured trace (one pass over each edge's bounded working set)
+ * IS the tenant's execution window in both arrangements.
  */
 KernelProfile
 captureTenant(TenantRecorder &recorder, const ProxyBenchmark &proxy,
               const MachineConfig &machine, Scale scale,
               std::uint64_t rebase_offset)
 {
-    const MotifParams &base = proxy.baseParams();
-    const std::uint32_t tasks =
-        std::max<std::uint32_t>(1, base.num_tasks);
-    const std::uint64_t trace_cap = captureTraceCap(scale);
-    const std::uint64_t working_set = std::max<std::uint64_t>(
-        64 * 1024,
-        std::min<std::uint64_t>(base.data_size / tasks, trace_cap));
-
     RecordingCaptureSink sink;
     sink.recorder = &recorder;
     sink.rebase_offset = rebase_offset;
     TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
     ctx.setCaptureSink(&sink);
-    ctx.setCodeFootprint(48 * 1024);
-
-    const std::vector<ProxyEdge> &edges = proxy.edges();
-    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-        const ProxyEdge &edge = edges[ei];
-        MotifParams p = base;
-        p.seed = base.seed ^ mix64(ei + 1);
-        std::uint64_t traced_bytes;
-        if (edge.motif->isAi()) {
-            // One batch per traced run, exactly like the pipeline.
-            p.total_size = 0;
-            traced_bytes = aiBytesPerRun(p);
-        } else {
-            p.data_size = working_set;
-            p.chunk_size = std::min<std::uint64_t>(p.chunk_size,
-                                                   p.data_size);
-            traced_bytes = p.data_size;
-        }
-        edge.motif->run(ctx, p);
-        if (proxy.gcIntensity() > 0.0) {
-            ManagedHeap heap(ctx,
-                             std::max<std::uint64_t>(64 * 1024,
-                                                     working_set / 8));
-            Rng mgmt_rng(p.seed ^ 0x6c6cULL);
-            stackManagementWork(ctx, heap, mgmt_rng, traced_bytes,
-                                proxy.gcIntensity());
-            heap.collect();
-        }
-    }
+    ctx.setCodeFootprint(kProxyCodeFootprint);
+    for (std::size_t ei = 0; ei < proxy.edges().size(); ++ei)
+        traceEdge(ctx, proxy.edgeRun(ei, captureTraceCap(scale)));
     // Flushes the final partial block into the sink and snapshots the
     // trace-level counters.
     return ctx.profile();

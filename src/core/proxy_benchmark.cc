@@ -1,6 +1,7 @@
 #include "core/proxy_benchmark.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -105,50 +106,39 @@ struct TaskShape
     std::uint32_t tasks = 1;
     std::uint32_t sharers = 1;      ///< tasks sharing the node's L3
     std::uint64_t waves = 1;
-    std::uint64_t working_set = 0;  ///< traced bytes per task
 };
 
 TaskShape
-taskShape(const MotifParams &base, const MachineConfig &machine,
-          std::uint64_t trace_cap)
+taskShape(const MotifParams &base, const MachineConfig &machine)
 {
     TaskShape shape;
     shape.tasks = std::max<std::uint32_t>(1, base.num_tasks);
     const std::uint32_t cores = machine.totalCores();
     shape.sharers = std::min(shape.tasks, cores);
     shape.waves = (shape.tasks + cores - 1) / cores;
-
-    // Traced working set per task: governed by dataSize/numTasks and
-    // bounded for tuner-iteration cost. Edge *weights* scale each
-    // motif's contribution (extrapolation factor), not its working
-    // set -- so cache behaviour responds to dataSize/chunkSize while
-    // the instruction mix responds to the weights, which is what lets
-    // the decision tree steer metrics independently.
-    shape.working_set = std::max<std::uint64_t>(
-        64 * 1024,
-        std::min<std::uint64_t>(base.data_size / shape.tasks, trace_cap));
     return shape;
 }
 
 /**
- * Memo key: every input of one edge's traced run. The edge weight is
- * deliberately absent (it scales the profile after simulation), and
- * so are the core timing parameters (applied to the profile, not the
- * trace). The machine is keyed by its full simulated geometry --
- * cache levels and predictor -- not by name, so sweeps that mutate a
- * named config (e.g. the LLC-size study) never collide.
+ * Memo key: every input of one edge's traced run -- the EdgeRun and
+ * the context it runs in. The params fields outside the motif's read
+ * set are defaults (edgeRun() reset them), so a change to a field the
+ * motif never reads maps to the same key. The edge weight is absent
+ * (it scales the profile after simulation), and so are the core
+ * timing parameters (applied to the profile, not the trace). The
+ * machine is keyed by its full simulated geometry -- cache levels and
+ * predictor -- not by name, so sweeps that mutate a named config
+ * (e.g. the LLC-size study) never collide.
  */
 std::string
-edgeTraceKey(const Motif &motif, const MotifParams &p,
-             const MachineConfig &machine, std::uint32_t sharers,
-             std::uint64_t working_set, std::uint64_t traced_bytes,
-             double gc_intensity)
+edgeTraceKey(const EdgeRun &run, const MachineConfig &machine,
+             std::uint32_t sharers)
 {
     std::ostringstream key;
     // Continuous tunables (sparsity, gc_intensity) must round-trip
     // losslessly or near-identical tuner candidates would collide.
     key.precision(std::numeric_limits<double>::max_digits10);
-    key << motif.name() << '|' << sharers;
+    key << run.motif->name() << '|' << sharers;
     for (const CacheParams *c :
          {&machine.caches.l1i, &machine.caches.l1d, &machine.caches.l2,
           &machine.caches.l3}) {
@@ -158,47 +148,23 @@ edgeTraceKey(const Motif &motif, const MotifParams &p,
     key << '|' << machine.predictor.table_bits << ':'
         << machine.predictor.history_bits;
     key << '|' << accelKeyPart(machine.accel);
+    const MotifParams &p = run.params;
     key << '|' << p.seed << '|' << p.data_size << '|' << p.chunk_size
         << '|' << p.num_tasks << '|' << p.batch_size << '|'
         << p.total_size << '|' << p.height << '|' << p.width << '|'
         << p.channels << '|' << p.filters << '|' << p.kernel << '|'
         << p.stride << '|' << static_cast<int>(p.layout) << '|'
-        << p.sparsity << '|' << working_set << '|' << traced_bytes
-        << '|' << gc_intensity;
+        << p.weight << '|' << p.sparsity << '|' << run.working_set
+        << '|' << run.traced_bytes << '|' << run.gc_intensity;
     return key.str();
 }
 
-/** One edge's traced run: its simulation inputs and their memo key. */
-struct EdgeRun
+/** One (clone, edge) pair of a batch: its traced run and memo key. */
+struct PlannedEdge
 {
-    MotifParams params;
-    std::uint64_t traced_bytes = 0;
+    EdgeRun run;
     std::string key;
 };
-
-EdgeRun
-edgeRun(const ProxyBenchmark &proxy, std::size_t ei,
-        const TaskShape &shape, const MachineConfig &machine)
-{
-    const Motif &motif = *proxy.edges()[ei].motif;
-    EdgeRun run;
-    MotifParams &p = run.params;
-    p = proxy.baseParams();
-    p.seed ^= mix64(ei + 1);
-    if (motif.isAi()) {
-        // One batch per traced run; extrapolate to the share.
-        p.total_size = 0;
-        run.traced_bytes = aiBytesPerRun(p);
-    } else {
-        p.data_size = shape.working_set;
-        p.chunk_size = std::min<std::uint64_t>(p.chunk_size, p.data_size);
-        run.traced_bytes = p.data_size;
-    }
-    run.key = edgeTraceKey(motif, p, machine, shape.sharers,
-                           shape.working_set, run.traced_bytes,
-                           proxy.gcIntensity());
-    return run;
-}
 
 /** Everything one proxy edge contributes to the node's run. */
 struct EdgeOutcome
@@ -264,6 +230,52 @@ extrapolateEdge(const ProxyBenchmark &proxy, std::size_t ei,
 
 } // namespace
 
+std::uint64_t
+traceEdge(TraceContext &ctx, const EdgeRun &run)
+{
+    const std::uint64_t checksum = run.motif->run(ctx, run.params);
+    if (run.gc_intensity > 0.0) {
+        ManagedHeap heap(ctx, std::max<std::uint64_t>(
+                                  64 * 1024, run.working_set / 8));
+        Rng mgmt_rng(run.params.seed ^ 0x6c6cULL);
+        stackManagementWork(ctx, heap, mgmt_rng, run.traced_bytes,
+                            run.gc_intensity);
+        heap.collect();
+    }
+    return checksum;
+}
+
+EdgeRun
+ProxyBenchmark::edgeRun(std::size_t ei, std::uint64_t trace_cap) const
+{
+    EdgeRun run;
+    run.motif = edges_[ei].motif;
+    run.gc_intensity = gc_intensity_;
+    // Traced working set per task: governed by dataSize/numTasks and
+    // bounded for tuner-iteration cost. Edge *weights* scale each
+    // motif's contribution (extrapolation factor), not its working
+    // set -- so cache behaviour responds to dataSize/chunkSize while
+    // the instruction mix responds to the weights, which is what lets
+    // the decision tree steer metrics independently.
+    const std::uint32_t tasks = std::max<std::uint32_t>(1, base_.num_tasks);
+    run.working_set = std::max<std::uint64_t>(
+        64 * 1024,
+        std::min<std::uint64_t>(base_.data_size / tasks, trace_cap));
+    MotifParams p = base_;
+    p.seed ^= mix64(ei + 1);
+    if (run.motif->isAi()) {
+        // One batch per traced run; extrapolate to the share.
+        p.total_size = 0;
+        run.traced_bytes = aiBytesPerRun(p);
+    } else {
+        p.data_size = run.working_set;
+        p.chunk_size = std::min<std::uint64_t>(p.chunk_size, p.data_size);
+        run.traced_bytes = p.data_size;
+    }
+    run.params = keepFields(p, run.motif->reads());
+    return run;
+}
+
 ReplicaPool &
 ProxyBenchmark::poolFor(const MachineConfig &machine,
                         std::uint32_t l3_sharers) const
@@ -318,7 +330,7 @@ ProxyBenchmark::executeBatch(
 
     // Plan: the traced run of every (clone, edge) pair.
     std::vector<TaskShape> shapes;
-    std::vector<std::vector<EdgeRun>> runs(clones.size());
+    std::vector<std::vector<PlannedEdge>> runs(clones.size());
     std::size_t max_edges = 0;
     shapes.reserve(clones.size());
     for (std::size_t ci = 0; ci < clones.size(); ++ci) {
@@ -327,9 +339,13 @@ ProxyBenchmark::executeBatch(
                     ": proxy has no motifs");
         dmpb_assert(proxy.trace_memo_.get() == &memo, proxy.name_,
                     ": a batch must share one trace memo");
-        shapes.push_back(taskShape(proxy.base_, machine, trace_cap));
-        for (std::size_t ei = 0; ei < proxy.edges_.size(); ++ei)
-            runs[ci].push_back(edgeRun(proxy, ei, shapes[ci], machine));
+        shapes.push_back(taskShape(proxy.base_, machine));
+        for (std::size_t ei = 0; ei < proxy.edges_.size(); ++ei) {
+            EdgeRun run = proxy.edgeRun(ei, trace_cap);
+            std::string key =
+                edgeTraceKey(run, machine, shapes[ci].sharers);
+            runs[ci].push_back({std::move(run), std::move(key)});
+        }
         max_edges = std::max(max_edges, runs[ci].size());
     }
 
@@ -359,32 +375,19 @@ ProxyBenchmark::executeBatch(
     simulations.reserve(missing.size());
     for (const auto &[clone_index, edge_index] : missing) {
         simulations.push_back([&, ci = clone_index, ei = edge_index]() {
-            const ProxyBenchmark &proxy = *clones[ci];
-            const EdgeRun &run = runs[ci][ei];
-            const TaskShape &shape = shapes[ci];
-            // Light-weight stack: small resident kernel code (the
-            // paper's POSIX-thread implementations), plus the unified
-            // memory-management module at gc_intensity ops/byte. The
-            // context is a pooled replica -- bit-equivalent to a
+            const PlannedEdge &planned = runs[ci][ei];
+            // The context is a pooled replica -- bit-equivalent to a
             // fresh construction.
             ReplicaPool::Lease lease =
-                proxy.poolFor(machine, shape.sharers).acquire();
+                clones[ci]->poolFor(machine, shapes[ci].sharers).acquire();
             TraceContext &ctx = lease.ctx();
-            ctx.setCodeFootprint(48 * 1024);
+            ctx.setCodeFootprint(kProxyCodeFootprint);
             EdgeTrace trace;
-            trace.checksum = proxy.edges_[ei].motif->run(ctx, run.params);
-            if (proxy.gc_intensity_ > 0.0) {
-                ManagedHeap heap(ctx, std::max<std::uint64_t>(
-                                          64 * 1024, shape.working_set / 8));
-                Rng mgmt_rng(run.params.seed ^ 0x6c6cULL);
-                stackManagementWork(ctx, heap, mgmt_rng, run.traced_bytes,
-                                    proxy.gc_intensity_);
-                heap.collect();
-            }
+            trace.checksum = traceEdge(ctx, planned.run);
             trace.profile = ctx.profile();
             MutexLock lock(memo.mutex);
             ++memo.simulated;
-            memo.entries.emplace(run.key, std::move(trace));
+            memo.entries.emplace(planned.key, std::move(trace));
         });
     }
     try {
@@ -416,7 +419,7 @@ ProxyBenchmark::executeBatch(
             }
             EdgeOutcome out =
                 extrapolateEdge(proxy, ei, shapes[ci],
-                                runs[ci][ei].traced_bytes, machine,
+                                runs[ci][ei].run.traced_bytes, machine,
                                 std::move(trace.profile));
             result.checksum ^= trace.checksum;
             runtime += std::max(out.edge_cpu, out.disk_s) +
@@ -478,9 +481,49 @@ ProxyBenchmark::parameters() const
     return out;
 }
 
+std::optional<std::size_t>
+ProxyBenchmark::weightEdge(const std::string &name) const
+{
+    // "weight:<edge index>:<motif name>"
+    if (name.rfind("weight:", 0) != 0)
+        return std::nullopt;
+    const std::size_t second_colon = name.find(':', 7);
+    if (second_colon == std::string::npos)
+        return std::nullopt;
+    std::size_t ei = 0;
+    const char *first = name.data() + 7;
+    const char *last = name.data() + second_colon;
+    auto [ptr, ec] = std::from_chars(first, last, ei);
+    if (ec != std::errc() || ptr != last || ei >= edges_.size())
+        return std::nullopt;
+    return ei;
+}
+
+bool
+ProxyBenchmark::acceptsParameter(const std::string &name,
+                                 double value) const
+{
+    if (!std::isfinite(value))
+        return false;
+    // The size and count setters clamp to at least one (the counts
+    // round first); what is left must fit the field's type.
+    if (name == "data_size" || name == "chunk_size")
+        return value < 0x1p64;
+    if (name == "num_tasks" || name == "batch_size" || name == "height" ||
+        name == "width" || name == "channels")
+        return std::round(value) < 0x1p32;
+    if (name == "gc_intensity")
+        return value >= 0.0;
+    if (weightEdge(name).has_value())
+        return value > 0.0;
+    return false;
+}
+
 void
 ProxyBenchmark::setParameter(const std::string &name, double value)
 {
+    dmpb_assert(acceptsParameter(name, value), "proxy parameter '", name,
+                "' cannot take the value ", value);
     if (name == "data_size") {
         base_.data_size = static_cast<std::uint64_t>(
             std::max(1.0, value));
@@ -497,7 +540,6 @@ ProxyBenchmark::setParameter(const std::string &name, double value)
         return;
     }
     if (name == "gc_intensity") {
-        dmpb_assert(value >= 0.0, "gc intensity must be non-negative");
         gc_intensity_ = value;
         return;
     }
@@ -521,18 +563,7 @@ ProxyBenchmark::setParameter(const std::string &name, double value)
             std::max(1.0, std::round(value)));
         return;
     }
-    if (name.rfind("weight:", 0) == 0) {
-        std::size_t second_colon = name.find(':', 7);
-        dmpb_assert(second_colon != std::string::npos,
-                    "malformed weight parameter '", name, "'");
-        std::size_t ei = std::stoul(name.substr(7, second_colon - 7));
-        dmpb_assert(ei < edges_.size(), "edge index out of range in '",
-                    name, "'");
-        dmpb_assert(value > 0.0, "weight must stay positive");
-        edges_[ei].weight = value;
-        return;
-    }
-    dmpb_panic("unknown proxy parameter '", name, "'");
+    edges_[*weightEdge(name)].weight = value;
 }
 
 double

@@ -52,6 +52,37 @@ struct ProxyResult
     std::uint64_t checksum = 0;
 };
 
+/** Resident kernel code of a proxy task: the paper's light-weight
+ *  POSIX-thread motif implementations (TraceContext::setCodeFootprint). */
+constexpr std::uint64_t kProxyCodeFootprint = 48 * 1024;
+
+/**
+ * One proxy edge's traced run (ProxyBenchmark::edgeRun): one task's
+ * pass over a bounded working set. Every input of traceEdge() is
+ * here, so a key over these fields, the simulated machine and the
+ * context's L3 sharer count names the whole run.
+ */
+struct EdgeRun
+{
+    const Motif *motif = nullptr;
+    /** The motif's parameters, every field outside Motif::reads()
+     *  reset to its default. */
+    MotifParams params;
+    std::uint64_t working_set = 0;   ///< traced bytes per task
+    std::uint64_t traced_bytes = 0;  ///< bytes the run stands for
+    double gc_intensity = 0.0;       ///< memory-management ops per byte
+};
+
+/**
+ * Trace @p run into @p ctx: the motif, then the unified memory-
+ * management module at run.gc_intensity ops per traced byte over a
+ * heap of an eighth of the working set. Shared by the proxy executor
+ * and the co-location capture, which set the code footprint first.
+ *
+ * @return the motif's checksum.
+ */
+std::uint64_t traceEdge(TraceContext &ctx, const EdgeRun &run);
+
 /** A tunable parameter with its search range (Table I). */
 struct TunableParam
 {
@@ -145,11 +176,31 @@ class ProxyBenchmark
      *  hook): memo hits and skipped simulations do not count. */
     std::size_t simulatedEdgesForTest() const;
 
+    /**
+     * Plan edge @p ei's traced run: one of num_tasks tasks over a
+     * working set of data_size / num_tasks bytes, capped at
+     * @p trace_cap and at least 64 KiB. The edge gets its own data
+     * seed; a big-data motif processes the working set in chunks no
+     * larger than it, and an AI motif runs one batch. Every parameter
+     * the motif does not read is then reset to its default, so runs
+     * that differ only there are one run.
+     */
+    EdgeRun edgeRun(std::size_t ei, std::uint64_t trace_cap) const;
+
     /** @{ The tunable parameter vector P (Table I). */
     std::vector<TunableParam> parameters() const;
+    /** Set parameter @p name; it must accept @p value. */
     void setParameter(const std::string &name, double value);
     double parameter(const std::string &name) const;
     /** @} */
+
+    /**
+     * Whether setParameter(@p name, @p value) is valid: @p name is one
+     * of parameters(), @p value is finite and the setter takes it
+     * (gc_intensity >= 0, weights > 0), and after the setter's
+     * rounding and clamping it fits the field's integer type.
+     */
+    bool acceptsParameter(const std::string &name, double value) const;
 
     const std::string &name() const { return name_; }
     const MotifParams &baseParams() const { return base_; }
@@ -174,14 +225,16 @@ class ProxyBenchmark
   private:
     /**
      * Trace memo: raw per-edge simulation outcomes keyed by every
-     * input the traced run depends on (motif, seeds, shapes, machine,
-     * LLC sharing, stack intensity -- NOT the edge weight, which only
-     * scales the result afterwards). The auto-tuner re-executes the
-     * proxy dozens of times varying one parameter at a time, so most
-     * edges repeat with identical inputs; the deterministic engine
-     * guarantees a memo hit is bit-identical to re-simulation.
-     * Shared by copies of the proxy; executeBatch() simulates each
-     * missing key once per batch, on concurrent workers.
+     * input of the traced run -- the EdgeRun (motif, the parameters
+     * it reads, working set, stack intensity), the machine and the
+     * LLC sharing; NOT the edge weight, which only scales the result
+     * afterwards, nor any parameter the motif does not read. The
+     * auto-tuner re-executes the proxy dozens of times varying one
+     * parameter at a time, so most edges repeat with identical
+     * inputs; the deterministic engine guarantees a memo hit is
+     * bit-identical to re-simulation. Shared by copies of the proxy;
+     * executeBatch() simulates each missing key once per batch, on
+     * concurrent workers.
      */
     struct EdgeTrace
     {
@@ -217,6 +270,10 @@ class ProxyBenchmark
         std::map<std::string, std::unique_ptr<ReplicaPool>> pools
             DMPB_GUARDED_BY(mutex);
     };
+
+    /** Edge index of a well-formed "weight:<ei>:<motif>" parameter
+     *  name with an edge @p ei; nullopt otherwise. */
+    std::optional<std::size_t> weightEdge(const std::string &name) const;
 
     /** The pool for @p machine's geometry under the current engine
      *  config, created on first use. The reference stays valid for

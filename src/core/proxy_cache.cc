@@ -97,8 +97,11 @@ loadProxyParams(const std::string &cache_dir, const std::string &key,
         dropBadCacheFile(path);
         return false;
     }
+    // Check every value before applying any: a file the setter would
+    // reject (or that would leave a half-applied vector) is bad.
     for (std::size_t i = 0; i < loaded.size(); ++i) {
-        if (loaded[i].first != expected[i]) {
+        if (loaded[i].first != expected[i] ||
+            !proxy.acceptsParameter(loaded[i].first, loaded[i].second)) {
             dropBadCacheFile(path);
             return false;
         }

@@ -6,6 +6,11 @@
  * filter shape, stride and the NCHW/NHWC storage formats. total_size
  * (Table I) is the number of input samples to process; iterations of
  * batch_size samples run until it is covered.
+ *
+ * Every AI motif declares the same read set, param::kAi: its data seed
+ * and the tensor shape. Not every motif reads every shape field, but
+ * the tuner varies only batch, height, width and channels, which they
+ * all read, so finer sets would save no traced run.
  */
 
 #ifndef DMPB_MOTIFS_AI_MOTIFS_HH
@@ -27,6 +32,7 @@ namespace dmpb {
         bool isAi() const override { return true; }                      \
         std::uint64_t run(TraceContext &ctx,                              \
                           const MotifParams &p) const override;           \
+        ParamSet reads() const override { return param::kAi; }           \
     }
 
 /** @{ Matrix class (Fig. 2): fully connected, element-wise,

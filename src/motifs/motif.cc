@@ -21,6 +21,32 @@ motifClassName(MotifClass c)
     }
 }
 
+MotifParams
+keepFields(const MotifParams &p, ParamSet fields)
+{
+    MotifParams out;
+    auto keep = [&]<typename T>(ParamSet field, T MotifParams::*member) {
+        if (fields & field)
+            out.*member = p.*member;
+    };
+    keep(param::kDataSize, &MotifParams::data_size);
+    keep(param::kChunkSize, &MotifParams::chunk_size);
+    keep(param::kNumTasks, &MotifParams::num_tasks);
+    keep(param::kBatchSize, &MotifParams::batch_size);
+    keep(param::kTotalSize, &MotifParams::total_size);
+    keep(param::kHeight, &MotifParams::height);
+    keep(param::kWidth, &MotifParams::width);
+    keep(param::kChannels, &MotifParams::channels);
+    keep(param::kFilters, &MotifParams::filters);
+    keep(param::kKernel, &MotifParams::kernel);
+    keep(param::kStride, &MotifParams::stride);
+    keep(param::kLayout, &MotifParams::layout);
+    keep(param::kWeight, &MotifParams::weight);
+    keep(param::kSeed, &MotifParams::seed);
+    keep(param::kSparsity, &MotifParams::sparsity);
+    return out;
+}
+
 const std::vector<const Motif *> &
 motifRegistry()
 {

@@ -183,6 +183,36 @@ TEST(ReferenceCache, CorruptValueFallsBackAndDeletesFile)
     EXPECT_FALSE(fs::exists(files[0]));  // dropped, next run re-measures
 }
 
+TEST(ReferenceCache, NonFiniteValuesFallBackAndDeleteFile)
+{
+    // from_chars parses "nan" and "inf"; no writer produces them, so
+    // a file holding one is hostile and must not be served.
+    for (const char *bad : {"nan", "inf", "-inf"}) {
+        for (const std::string field : {"runtime_s=", "IPC="}) {
+            TempCacheDir dir("test-ref-cache-nonfinite");
+            ASSERT_TRUE(saveReference(dir.path, testKey(), fakeResult()));
+            auto files = dir.files();
+            ASSERT_EQ(files.size(), 1u);
+            {
+                std::ifstream in(files[0]);
+                std::string content(
+                    (std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+                auto pos = content.find(field);
+                ASSERT_NE(pos, std::string::npos) << field;
+                pos += field.size();
+                content.replace(pos, content.find('\n', pos) - pos, bad);
+                std::ofstream out(files[0]);
+                out << content;
+            }
+            WorkloadResult loaded;
+            EXPECT_FALSE(loadReference(dir.path, testKey(), loaded))
+                << field << bad;
+            EXPECT_FALSE(fs::exists(files[0])) << field << bad;
+        }
+    }
+}
+
 TEST(ReferenceCache, TruncatedFileFallsBackAndDeletesFile)
 {
     TempCacheDir dir("test-ref-cache-truncated");

@@ -398,9 +398,10 @@ freshExecute(const Workload &workload, const ProxyBenchmark &clone,
 /**
  * One mixed tuner-style batch over @p workload's proxy -- unchanged,
  * a weight-only move, a data_size move, a num_tasks move (a new L3
- * sharer count, so a second replica pool), a gc_intensity move and a
- * duplicate of the data_size move -- executed on an empty memo with
- * 1, 3 and 4 workers: every result must equal a fresh execute().
+ * sharer count, so a second replica pool), a gc_intensity move, a
+ * duplicate of the data_size move and a chunk_size move (read by the
+ * sort and MD5 motifs only) -- executed on an empty memo with 1, 3
+ * and 4 workers: every result must equal a fresh execute().
  */
 void
 expectBatchMatchesFreshExecute(const Workload &workload)
@@ -410,7 +411,7 @@ expectBatchMatchesFreshExecute(const Workload &workload)
     auto mixedBatch = [&]() {
         ProxyBenchmark base = decomposeWorkload(workload);
         base.baseParams().seed = 4321;
-        std::vector<ProxyBenchmark> batch(6, base.cloneShallow());
+        std::vector<ProxyBenchmark> batch(7, base.cloneShallow());
         const ProxyEdge &e0 = base.edges()[0];
         batch[1].setParameter("weight:0:" + e0.motif->name(),
                               e0.weight * 1.5);
@@ -418,6 +419,7 @@ expectBatchMatchesFreshExecute(const Workload &workload)
         batch[3].setParameter("num_tasks", 2);
         batch[4].setParameter("gc_intensity", 5.0);
         batch[5] = batch[2].cloneShallow();
+        batch[6].setParameter("chunk_size", 32.0 * 1024);
         return batch;
     };
 
@@ -482,6 +484,40 @@ TEST(ProxyBatch, SharedEdgesSimulateOnce)
     EXPECT_EQ(base.simulatedEdgesForTest(), edges);
     for (const auto &r : moved)
         EXPECT_TRUE(r.has_value());
+
+    // The memo keys each edge on the fields its motif reads. Only
+    // quick_sort reads chunk_size (clamped to the 128 KiB working
+    // set, so the new value must sit below it): one new edge.
+    ASSERT_GE(base.baseParams().chunk_size, 128u * 1024);
+    ProxyBenchmark chunk = base.cloneShallow();
+    chunk.setParameter("chunk_size", 64.0 * 1024);
+    chunk.execute(machine, 128 * 1024);
+    EXPECT_EQ(base.simulatedEdgesForTest(), edges + 1);
+
+    // No motif reads num_tasks. 12 -> 16 tasks keeps 12 L3 sharers on
+    // the 12-core node and the capped working set: nothing new.
+    ASSERT_EQ(base.baseParams().num_tasks, 12u);
+    ASSERT_EQ(machine.totalCores(), 12u);
+    ASSERT_GE(base.baseParams().data_size / 16, 128u * 1024);
+    ProxyBenchmark tasks = base.cloneShallow();
+    tasks.setParameter("num_tasks", 16);
+    tasks.execute(machine, 128 * 1024);
+    EXPECT_EQ(base.simulatedEdgesForTest(), edges + 1);
+}
+
+TEST(ProxyBatch, AiEdgesIgnoreChunkSize)
+{
+    const MachineConfig machine = westmereE5645();
+    ProxyBenchmark base = decomposeWorkload(*makeAlexNet(10, 32));
+    const ProxyResult want = base.execute(machine, 128 * 1024);
+    const std::size_t warm = base.simulatedEdgesForTest();
+    EXPECT_EQ(warm, base.edges().size());
+
+    ProxyBenchmark chunk = base.cloneShallow();
+    chunk.setParameter("chunk_size", 64.0 * 1024);
+    expectSameProxyResult(chunk.execute(machine, 128 * 1024), want,
+                          "chunk_size move");
+    EXPECT_EQ(base.simulatedEdgesForTest(), warm);
 }
 
 TEST(ProxyBatch, StopLeavesClonesWithSkippedEdgesEmpty)

@@ -148,6 +148,87 @@ TEST(ProxyCacheRobustness, LegacyFormatInvalidatedOnce)
     EXPECT_FALSE(fs::exists(files[0]));
 }
 
+/**
+ * Save a tinyProxy() whose chunk_size is off the default, rewrite the
+ * value of @p name to @p text, and expect the load to reject the file,
+ * delete it and leave the proxy untouched. Each value below once
+ * reached setParameter, whose assertion aborted the process, or an
+ * out-of-range double-to-integer conversion (undefined behaviour)
+ * that loaded as 0.
+ */
+void
+expectValueRejected(const std::string &name, const std::string &text)
+{
+    TempCacheDir dir("test-tuner-cache-hostile");
+    ProxyBenchmark saved = tinyProxy();
+    saved.setParameter("chunk_size", 512.0 * kKiB);
+    ASSERT_TRUE(saveProxyParams(dir.path, "hostile-key", saved));
+    auto files = dir.files();
+    ASSERT_EQ(files.size(), 1u);
+    {
+        std::ifstream in(files[0]);
+        std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+        const std::string field = "\n" + name + "=";
+        auto pos = content.find(field);
+        ASSERT_NE(pos, std::string::npos) << name;
+        pos += field.size();
+        content.replace(pos, content.find('\n', pos) - pos, text);
+        std::ofstream out(files[0]);
+        out << content;
+    }
+
+    ProxyBenchmark loaded = tinyProxy();
+    const std::vector<TunableParam> before = loaded.parameters();
+    EXPECT_FALSE(loadProxyParams(dir.path, "hostile-key", loaded))
+        << name << "=" << text;
+    EXPECT_FALSE(fs::exists(files[0])) << name << "=" << text;
+    // Nothing was applied, not even the values ahead of the bad one.
+    const std::vector<TunableParam> after = loaded.parameters();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i)
+        EXPECT_EQ(after[i].value, before[i].value) << after[i].name;
+}
+
+TEST(ProxyCacheRobustness, NegativeGcIntensityIsRejected)
+{
+    expectValueRejected("gc_intensity", "-1");
+}
+
+TEST(ProxyCacheRobustness, NanGcIntensityIsRejected)
+{
+    expectValueRejected("gc_intensity", "nan");
+}
+
+TEST(ProxyCacheRobustness, ZeroWeightIsRejected)
+{
+    expectValueRejected("weight:2:md5_hash", "0");
+}
+
+TEST(ProxyCacheRobustness, DataSizePastUint64IsRejected)
+{
+    expectValueRejected("data_size", "1e300");
+}
+
+TEST(ProxyCacheRobustness, InfiniteTaskCountIsRejected)
+{
+    expectValueRejected("num_tasks", "inf");
+}
+
+TEST(ProxyCacheRobustness, SetterLimitsMatchTheFieldTypes)
+{
+    ProxyBenchmark proxy = tinyProxy();
+    EXPECT_TRUE(proxy.acceptsParameter("data_size", 0x1p63));
+    EXPECT_FALSE(proxy.acceptsParameter("data_size", 0x1p64));
+    EXPECT_TRUE(proxy.acceptsParameter("num_tasks", 4294967294.6));
+    EXPECT_FALSE(proxy.acceptsParameter("num_tasks", 4294967295.5));
+    EXPECT_TRUE(proxy.acceptsParameter("height", -7.0));  // clamps to 1
+    EXPECT_TRUE(proxy.acceptsParameter("gc_intensity", 0.0));
+    EXPECT_FALSE(proxy.acceptsParameter("weight:3:md5_hash", 0.5));
+    EXPECT_FALSE(proxy.acceptsParameter("weight:x:md5_hash", 0.5));
+    EXPECT_FALSE(proxy.acceptsParameter("no_such_param", 1.0));
+}
+
 TEST(ProxyCacheRobustness, SanitizedKeyCollisionsAreIsolated)
 {
     // "k-means" and "k_means" sanitize to the same stem; before the
