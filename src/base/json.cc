@@ -1,6 +1,5 @@
 #include "base/json.hh"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -63,335 +62,6 @@ jsonEscape(const std::string &s)
     std::ostringstream os;
     appendEscaped(os, s);
     return os.str();
-}
-
-// ------------------------------------------------------------ parser
-
-/** Strict recursive-descent parser over one string_view. */
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    bool
-    parseDocument(JsonValue &out, std::string *error)
-    {
-        bool ok = parseValue(out, 0) &&
-                  (skipWs(), pos_ == text_.size() ||
-                                 fail("trailing content"));
-        if (!ok && error != nullptr) {
-            *error = error_ + " at offset " + std::to_string(pos_);
-        }
-        return ok;
-    }
-
-  private:
-    bool
-    fail(const char *why)
-    {
-        if (error_.empty())
-            error_ = why;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    literal(std::string_view word)
-    {
-        if (text_.compare(pos_, word.size(), word) != 0)
-            return fail("invalid literal");
-        pos_ += word.size();
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("raw control character in string");
-            if (c != '\\') {
-                out.push_back(c);
-                ++pos_;
-                continue;
-            }
-            if (++pos_ >= text_.size())
-                return fail("truncated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': {
-                unsigned cp = 0;
-                if (!parseHex4(cp))
-                    return false;
-                // Surrogate pairs are not needed by the request
-                // protocol; reject rather than mis-decode.
-                if (cp >= 0xd800 && cp <= 0xdfff)
-                    return fail("surrogate escapes unsupported");
-                appendUtf8(out, cp);
-                break;
-              }
-              default:
-                return fail("invalid escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseHex4(unsigned &out)
-    {
-        if (pos_ + 4 > text_.size())
-            return fail("truncated \\u escape");
-        out = 0;
-        for (int i = 0; i < 4; ++i) {
-            char c = text_[pos_++];
-            unsigned digit;
-            if (c >= '0' && c <= '9')
-                digit = static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                digit = static_cast<unsigned>(c - 'A' + 10);
-            else
-                return fail("invalid \\u escape");
-            out = out * 16 + digit;
-        }
-        return true;
-    }
-
-    static void
-    appendUtf8(std::string &out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
-        } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xc0 | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
-        } else {
-            out.push_back(static_cast<char>(0xe0 | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3f)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
-        }
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        // Validate the JSON grammar shape, then hand the span to
-        // from_chars (which accepts a superset: leading +, hex, ...).
-        std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        std::size_t digits = pos_;
-        while (pos_ < text_.size() && text_[pos_] >= '0' &&
-               text_[pos_] <= '9') {
-            ++pos_;
-        }
-        if (pos_ == digits)
-            return fail("expected number");
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            std::size_t frac = pos_;
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9') {
-                ++pos_;
-            }
-            if (pos_ == frac)
-                return fail("expected fraction digits");
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-')) {
-                ++pos_;
-            }
-            std::size_t exp = pos_;
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9') {
-                ++pos_;
-            }
-            if (pos_ == exp)
-                return fail("expected exponent digits");
-        }
-        double v = 0.0;
-        auto [ptr, ec] = std::from_chars(text_.data() + start,
-                                         text_.data() + pos_, v);
-        if (ec != std::errc() || ptr != text_.data() + pos_)
-            return fail("unparseable number");
-        out.type_ = JsonValue::Type::Number;
-        out.number_ = v;
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out, int depth)
-    {
-        if (depth > kMaxDepth)
-            return fail("nesting too deep");
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        char c = text_[pos_];
-        switch (c) {
-          case '{': {
-            ++pos_;
-            out.type_ = JsonValue::Type::Object;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_] != ':')
-                    return fail("expected ':'");
-                ++pos_;
-                JsonValue member;
-                if (!parseValue(member, depth + 1))
-                    return false;
-                out.members_.emplace_back(std::move(key),
-                                          std::move(member));
-                skipWs();
-                if (pos_ >= text_.size())
-                    return fail("unterminated object");
-                if (text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                if (text_[pos_] != ',')
-                    return fail("expected ',' or '}'");
-                ++pos_;
-            }
-          }
-          case '[': {
-            ++pos_;
-            out.type_ = JsonValue::Type::Array;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                JsonValue item;
-                if (!parseValue(item, depth + 1))
-                    return false;
-                out.items_.push_back(std::move(item));
-                skipWs();
-                if (pos_ >= text_.size())
-                    return fail("unterminated array");
-                if (text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                if (text_[pos_] != ',')
-                    return fail("expected ',' or ']'");
-                ++pos_;
-            }
-          }
-          case '"':
-            out.type_ = JsonValue::Type::String;
-            return parseString(out.string_);
-          case 't':
-            out.type_ = JsonValue::Type::Bool;
-            out.bool_ = true;
-            return literal("true");
-          case 'f':
-            out.type_ = JsonValue::Type::Bool;
-            out.bool_ = false;
-            return literal("false");
-          case 'n':
-            out.type_ = JsonValue::Type::Null;
-            return literal("null");
-          default:
-            return parseNumber(out);
-        }
-    }
-
-    static constexpr int kMaxDepth = 32;
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
-
-bool
-JsonValue::parse(std::string_view text, JsonValue &out,
-                 std::string *error)
-{
-    out = JsonValue();
-    JsonParser parser(text);
-    return parser.parseDocument(out, error);
-}
-
-bool
-JsonValue::asBool(bool fallback) const
-{
-    return type_ == Type::Bool ? bool_ : fallback;
-}
-
-double
-JsonValue::asNumber(double fallback) const
-{
-    return type_ == Type::Number ? number_ : fallback;
-}
-
-std::uint64_t
-JsonValue::asU64(std::uint64_t fallback) const
-{
-    if (type_ != Type::Number || number_ < 0.0 ||
-        number_ != std::floor(number_) ||
-        number_ > 18446744073709549568.0) {  // largest double < 2^64
-        return fallback;
-    }
-    return static_cast<std::uint64_t>(number_);
-}
-
-const std::string &
-JsonValue::asString() const
-{
-    static const std::string kEmpty;
-    return type_ == Type::String ? string_ : kEmpty;
-}
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    for (const auto &[k, v] : members_) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
 }
 
 } // namespace dmpb

@@ -1,16 +1,10 @@
 /**
  * @file
- * Minimal dependency-free JSON support, shared by every producer and
- * consumer of JSON in the repo:
- *
- *  - JsonWriter: the streaming emitter behind the suite report, the
- *    per-outcome serializer (runner/report writeOutcomeJson) and the
- *    serve daemon's responses. One implementation of RFC 8259 string
- *    escaping, tested once in tests/test_json.cc.
- *  - JsonValue: a strict recursive-descent parser for the daemon's
- *    newline-delimited request protocol and the loadgen's response
- *    handling. Parses one complete document per call; anything
- *    malformed is rejected with a diagnostic instead of a guess.
+ * Minimal dependency-free JSON output, shared by every producer of
+ * JSON in the repo: JsonWriter is the streaming emitter behind the
+ * suite and co-location reports and the per-outcome serializer
+ * (runner/report writeOutcomeJson). One implementation of RFC 8259
+ * string escaping, tested once in tests/test_json.cc.
  */
 
 #ifndef DMPB_BASE_JSON_HH
@@ -18,11 +12,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 namespace dmpb {
@@ -83,18 +74,10 @@ class JsonWriter
 
     /**
      * Splice @p json -- a complete, already-serialized JSON value --
-     * in as the value of @p k. This is how a pre-rendered outcome
-     * object (writeOutcomeJson) embeds into a response envelope
-     * without re-serializing: the bytes land verbatim.
+     * in as one array element, verbatim. This is how pre-rendered
+     * outcome objects (writeOutcomeJson) embed into the suite report
+     * without re-serializing.
      */
-    void
-    rawField(const std::string &k, const std::string &json)
-    {
-        key(k);
-        os_ << json;
-    }
-
-    /** Splice @p json in as one array element, verbatim. */
     void
     rawElement(const std::string &json)
     {
@@ -134,69 +117,6 @@ class JsonWriter
 
 /** RFC 8259-escape @p s (without the surrounding quotes). */
 std::string jsonEscape(const std::string &s);
-
-/**
- * One parsed JSON value. Object members keep their document order;
- * duplicate keys resolve to the first occurrence (find()).
- */
-class JsonValue
-{
-  public:
-    enum class Type : std::uint8_t
-    {
-        Null = 0,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    /**
-     * Parse @p text as exactly one JSON document (leading/trailing
-     * whitespace allowed, nothing else). On failure returns false and
-     * fills @p error (when non-null) with a position-stamped
-     * diagnostic. Nesting is capped at 32 levels so a hostile request
-     * cannot overflow the stack.
-     */
-    static bool parse(std::string_view text, JsonValue &out,
-                      std::string *error = nullptr);
-
-    Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::Null; }
-    bool isObject() const { return type_ == Type::Object; }
-    bool isString() const { return type_ == Type::String; }
-    bool isNumber() const { return type_ == Type::Number; }
-    bool isBool() const { return type_ == Type::Bool; }
-    bool isArray() const { return type_ == Type::Array; }
-
-    /** Value accessors; the fallback is returned on type mismatch. */
-    bool asBool(bool fallback = false) const;
-    double asNumber(double fallback = 0.0) const;
-    std::uint64_t asU64(std::uint64_t fallback = 0) const;
-    const std::string &asString() const;
-
-    /** Object member by key; nullptr when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-
-    /** Array elements / object members (empty for scalar types). */
-    const std::vector<JsonValue> &items() const { return items_; }
-    const std::vector<std::pair<std::string, JsonValue>> &
-    members() const
-    {
-        return members_;
-    }
-
-  private:
-    friend class JsonParser;
-
-    Type type_ = Type::Null;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<JsonValue> items_;
-    std::vector<std::pair<std::string, JsonValue>> members_;
-};
 
 } // namespace dmpb
 

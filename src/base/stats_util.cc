@@ -108,38 +108,4 @@ median(std::vector<double> v)
     return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-double
-sortedPercentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    dmpb_assert(p >= 0.0 && p <= 100.0, "percentile out of range");
-    // A single sample is every percentile of itself -- and must not
-    // reach the interpolation below, where rank underflow/overflow
-    // quirks live.
-    if (sorted.size() == 1)
-        return sorted.front();
-    double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-    // Clamp the closest ranks into the sample: p=100 lands exactly on
-    // the last element, but the truncation must never index past it
-    // (nor interpolate toward a phantom neighbour) even when the rank
-    // product rounds up.
-    std::size_t lo = std::min(static_cast<std::size_t>(rank),
-                              sorted.size() - 1);
-    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    double frac = std::clamp(rank - static_cast<double>(lo), 0.0, 1.0);
-    double v = sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-    // Interpolation between in-range ranks cannot legitimately leave
-    // [min, max]; clamping makes the min <= p50 <= p95 <= p99 <= max
-    // report invariant hold exactly, not just up to rounding.
-    return std::clamp(v, sorted.front(), sorted.back());
-}
-
-double
-percentile(std::vector<double> v, double p)
-{
-    std::sort(v.begin(), v.end());
-    return sortedPercentile(v, p);
-}
-
 } // namespace dmpb

@@ -46,17 +46,6 @@ double pearson(const std::vector<double> &x, const std::vector<double> &y);
 /** Median (copies and sorts); 0 for empty input. */
 double median(std::vector<double> v);
 
-/**
- * The @p p-th percentile (p in [0, 100]) by linear interpolation
- * between closest ranks (the same rule numpy's default uses); 0 for
- * empty input. Copies and sorts; for repeated queries over one
- * sample, sort once and call sortedPercentile.
- */
-double percentile(std::vector<double> v, double p);
-
-/** percentile() over an already ascending-sorted sample. */
-double sortedPercentile(const std::vector<double> &sorted, double p);
-
 } // namespace dmpb
 
 #endif // DMPB_BASE_STATS_UTIL_HH

@@ -1,7 +1,7 @@
 /**
  * @file
- * Resolved cache configuration, shared by the one-shot CLI suite, the
- * serve daemon and the tests.
+ * Resolved cache configuration, shared by the CLI suite, co-location,
+ * PipelineService and the tests.
  *
  * The `dmpb` flags --no-cache / --cache-dir / --ref-cache-dir used to
  * apply in command-line order, so `--cache-dir d --no-cache` and
@@ -38,9 +38,9 @@ struct CacheConfig
     std::string ref_dir;
     /**
      * Entry cap of the in-memory layer fronting each enabled on-disk
-     * cache (core/memory_cache): a long-running daemon serves repeat
-     * requests from memory and evicts LRU beyond this cap. 0 turns
-     * the in-memory layer off (every lookup goes to disk). Irrelevant
+     * cache (core/memory_cache): a service serves repeat lookups of a
+     * key from memory and evicts LRU beyond this cap. 0 turns the
+     * in-memory layer off (every lookup goes to disk). Irrelevant
      * when the corresponding directory is empty.
      */
     std::size_t mem_entries = kDefaultMemEntries;

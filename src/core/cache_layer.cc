@@ -5,19 +5,6 @@
 
 namespace dmpb {
 
-namespace {
-
-/** release() on every exit path, including exceptions: a crashed
- *  computation must wake its waiters so one of them takes over. */
-struct FlightGuard
-{
-    KeyedSingleFlight &flight;
-    const std::string &key;
-    ~FlightGuard() { flight.release(key); }
-};
-
-} // namespace
-
 ReferenceLayer::ReferenceLayer(std::string dir,
                                std::size_t mem_entries)
     : dir_(std::move(dir)), mem_(dir_.empty() ? 0 : mem_entries)
@@ -37,26 +24,13 @@ ReferenceLayer::measure(const std::string &key,
     }
 
     CachedRef cached;
-    for (;;) {
-        if (mem_.get(key, cached)) {
-            result.runtime_s = cached.runtime_s;
-            result.metrics = cached.metrics;
-            if (from_cache != nullptr)
-                *from_cache = true;
-            return result;
-        }
-        // Cold here. If another thread is already measuring this key,
-        // wait for it and re-check the memory layer; otherwise we own
-        // the computation.
-        if (flight_.acquire(key))
-            break;
+    if (mem_.get(key, cached)) {
+        result.runtime_s = cached.runtime_s;
+        result.metrics = cached.metrics;
+        if (from_cache != nullptr)
+            *from_cache = true;
+        return result;
     }
-    FlightGuard guard{flight_, key};
-
-    // Won the race after a concurrent owner published to disk only
-    // (mem layer capped out or disabled)? The disk probe below still
-    // serves it; a stale double-compute is impossible to observe
-    // because the measurement is a pure function of the key.
     if (loadReference(dir_, key, result)) {
         mem_.put(key, CachedRef{result.runtime_s, result.metrics});
         if (from_cache != nullptr)
@@ -87,21 +61,13 @@ TunerLayer::tune(const std::string &key, ProxyBenchmark &proxy,
         return tuner.tune(proxy, machine);
     }
 
-    auto replayCached = [&](const CachedParams &cached) {
+    CachedParams cached;
+    if (mem_.get(key, cached)) {
         for (const auto &[name, value] : cached.params)
             proxy.setParameter(name, value);
         return replayTunedParams(proxy, target, machine, config,
                                  cached.qualified);
-    };
-
-    CachedParams cached;
-    for (;;) {
-        if (mem_.get(key, cached))
-            return replayCached(cached);
-        if (flight_.acquire(key))
-            break;
     }
-    FlightGuard guard{flight_, key};
 
     bool stored_qualified = false;
     if (loadProxyParams(dir_, key, proxy, &stored_qualified)) {

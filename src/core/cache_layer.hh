@@ -1,22 +1,19 @@
 /**
  * @file
  * Concurrent-safe caching layers over the two on-disk pipeline
- * caches.
- *
- * The one-shot CLI exercises core/proxy_cache and
- * core/reference_cache single-threaded from disk. A long-running
- * `dmpb --serve` daemon hits them from many worker threads at once,
- * so each cache gains:
+ * caches (core/proxy_cache, core/reference_cache), as PipelineService
+ * uses them. Each layer looks a key up memory -> disk -> compute:
  *
  *  - an in-memory LRU layer (core/memory_cache) with a size cap and
- *    hit/miss/eviction counters, so repeat requests never touch disk;
- *  - per-key single-flight: concurrent cold misses on the same key
- *    block behind one computation instead of tuning/measuring the
- *    same cell N times (the computation is deterministic, so a
- *    duplicate would waste work, not diverge -- but at daemon
- *    concurrency the waste is N-fold);
- *  - torn-file safety via the atomic publish in core/cache_file
- *    (shared with the plain disk path).
+ *    hit/miss/eviction counters, so a repeat lookup in one process
+ *    never touches disk;
+ *  - the on-disk cache, whose atomic publish (core/cache_file) keeps
+ *    a file whole when several threads publish the same key.
+ *
+ * Concurrent cold misses on one key each compute it. That costs
+ * duplicate work but never a different answer: every computation is
+ * a pure function of its key, so every publisher writes the same
+ * bytes.
  *
  * Results served through a layer are bit-identical to the plain
  * measureWithCache / tuneWithCache paths: a memory hit replays
@@ -26,13 +23,10 @@
 #ifndef DMPB_CORE_CACHE_LAYER_HH
 #define DMPB_CORE_CACHE_LAYER_HH
 
-#include <condition_variable>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "base/thread_annotations.hh"
 #include "core/auto_tuner.hh"
 #include "core/memory_cache.hh"
 #include "core/proxy_benchmark.hh"
@@ -40,43 +34,6 @@
 #include "workloads/workload.hh"
 
 namespace dmpb {
-
-/**
- * Per-key in-flight computation dedup. acquire() returns true when
- * the caller owns the computation for @p key (it must call release()
- * when done, success or failure); false when it blocked behind
- * another owner finishing -- the caller then re-checks the cache and
- * retries.
- */
-class KeyedSingleFlight
-{
-  public:
-    bool
-    acquire(const std::string &key) DMPB_EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        if (inflight_.insert(key).second)
-            return true;
-        while (inflight_.count(key) != 0)
-            cv_.wait(lock.native());
-        return false;
-    }
-
-    void
-    release(const std::string &key) DMPB_EXCLUDES(mutex_)
-    {
-        {
-            MutexLock lock(mutex_);
-            inflight_.erase(key);
-        }
-        cv_.notify_all();
-    }
-
-  private:
-    AnnotatedMutex mutex_;
-    std::condition_variable cv_;
-    std::set<std::string> inflight_ DMPB_GUARDED_BY(mutex_);
-};
 
 /** Reference-measurement cache with an in-memory layer. Thread-safe;
  *  an instance with an empty directory computes without caching. */
@@ -108,7 +65,6 @@ class ReferenceLayer
 
     std::string dir_;
     MemoryCache<CachedRef> mem_;
-    KeyedSingleFlight flight_;
 };
 
 /** Tuned-parameter cache with an in-memory layer. Thread-safe; an
@@ -144,7 +100,6 @@ class TunerLayer
 
     std::string dir_;
     MemoryCache<CachedParams> mem_;
-    KeyedSingleFlight flight_;
 };
 
 } // namespace dmpb

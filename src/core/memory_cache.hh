@@ -2,19 +2,19 @@
  * @file
  * A concurrent-safe, size-capped, LRU-evicting in-memory cache.
  *
- * The serve daemon keeps both on-disk caches (tuned parameters,
- * reference measurements) warm behind one of these: a hit costs a
- * mutex acquisition and a list splice instead of a file open + parse,
- * and the capacity cap keeps a long-running daemon's footprint
- * bounded no matter how many scenario cells pass through it.
- * Hit/miss/eviction counters are maintained under the same lock and
- * surfaced through the daemon's {"cmd":"stats"} response.
+ * Each PipelineService keeps both on-disk caches (tuned parameters,
+ * reference measurements) behind one of these (core/cache_layer): a
+ * hit costs a mutex acquisition and a list splice instead of a file
+ * open + parse, and the capacity cap bounds the footprint no matter
+ * how many scenario cells pass through one service. Hit/miss/eviction
+ * counters are maintained under the same lock and read through
+ * PipelineService::referenceCacheStats() / tunerCacheStats().
  *
  * All operations are linearizable (one mutex); values are returned by
  * copy so a reader can never observe a concurrent eviction tearing
  * its entry. Capacity 0 disables the cache entirely: get() always
- * misses and put() is a no-op, which is also the configuration the
- * one-shot CLI uses implicitly when caching is off.
+ * misses and put() is a no-op, which is also what a layer over a
+ * disabled on-disk cache uses.
  */
 
 #ifndef DMPB_CORE_MEMORY_CACHE_HH

@@ -1,9 +1,5 @@
 #include "core/run_status.hh"
 
-#include <stdexcept>
-
-#include "base/names.hh"
-
 namespace dmpb {
 
 const char *
@@ -13,28 +9,6 @@ runStatusName(RunStatus s)
       case RunStatus::Ok: return "ok";
       case RunStatus::Failed: return "failed";
       case RunStatus::TimedOut: return "timeout";
-    }
-    return "unknown";
-}
-
-CachePolicy
-parseCachePolicy(const std::string &name)
-{
-    std::string canon = canonName(name);
-    if (canon == "use")
-        return CachePolicy::Use;
-    if (canon == "bypass")
-        return CachePolicy::Bypass;
-    throw std::invalid_argument("unknown cache policy '" + name +
-                                "' (valid: use, bypass)");
-}
-
-const char *
-cachePolicyName(CachePolicy p)
-{
-    switch (p) {
-      case CachePolicy::Use: return "use";
-      case CachePolicy::Bypass: return "bypass";
     }
     return "unknown";
 }

@@ -2,18 +2,17 @@
  * @file
  * Request-outcome vocabulary shared by every execution layer.
  *
- * RunStatus and CachePolicy started life in the pipeline API
- * (runner/pipeline_service.hh) but are not pipeline-specific: the
- * co-location orchestration (core/colocation.hh), the reports and the
- * serve protocol all speak them too. They live here, below all of
- * those layers, so core code never has to reach up into runner/.
+ * RunStatus and CachePolicy are not pipeline-specific: the pipeline
+ * API (runner/pipeline_service.hh), the co-location orchestration
+ * (core/colocation.hh) and the reports all speak them. They live
+ * here, below all of those layers, so core code never has to reach
+ * up into runner/.
  */
 
 #ifndef DMPB_CORE_RUN_STATUS_HH
 #define DMPB_CORE_RUN_STATUS_HH
 
 #include <cstdint>
-#include <string>
 
 namespace dmpb {
 
@@ -34,13 +33,6 @@ enum class CachePolicy : std::uint8_t
     Use = 0,   ///< read and write every enabled cache level
     Bypass,    ///< compute fresh; read and write no cache level
 };
-
-/** Parse "use" / "bypass" (canonName-insensitive).
- *  @throws std::invalid_argument naming the valid values. */
-CachePolicy parseCachePolicy(const std::string &name);
-
-/** Printable policy name ("use", "bypass"). */
-const char *cachePolicyName(CachePolicy p);
 
 } // namespace dmpb
 

@@ -64,7 +64,6 @@ PipelineService::execute(const PipelineRequest &request) const
     WorkloadSpec spec;
     spec.name = request.workload;
     spec.scale = request.scale;
-    spec.params = request.params;
     std::unique_ptr<Workload> workload;
     try {
         workload = WorkloadRegistry::instance().make(spec);
@@ -77,8 +76,8 @@ PipelineService::execute(const PipelineRequest &request) const
         return out;
     }
     // Per-scale budget preset, applied exactly as the one-shot CLI
-    // applies it for its --scale, so a served cell and a CLI cell
-    // tune identically.
+    // applies it for its --scale, so a registry-resolved cell and a
+    // CLI cell tune identically.
     return run(*workload, scaleTunerConfig(request.scale, config_.tuner),
                request);
 }

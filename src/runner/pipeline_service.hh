@@ -4,15 +4,12 @@
  *
  * One proxy-generation pipeline (real-workload measurement -> motif
  * decomposition -> decision-tree auto-tuning -> qualified-proxy
- * execution) used to live inside SuiteRunner::runOne, reachable only
- * through a one-shot batch run. It is now PipelineService::execute:
- * per-request state (which workload, at which scale, under which
- * seed/timeout/cache policy) travels in a PipelineRequest, while the
- * long-lived service state (cluster, tuner budget, engine config,
- * cache layers) is constructed once and shared. The CLI suite runner
- * and the `dmpb --serve` daemon are both thin clients of this one
- * API, so a served response and a one-shot report row are the same
- * bytes by construction.
+ * execution) is PipelineService::execute: per-request state (which
+ * workload, at which scale, under which seed/timeout/cache policy)
+ * travels in a PipelineRequest, while the long-lived service state
+ * (cluster, tuner budget, engine config, cache layers) is constructed
+ * once and shared. The suite runner is its batch client, and the
+ * CLI's co-location mode runs through executeColocation().
  *
  * execute() is thread-safe: the service is immutable after
  * construction apart from the cache layers, which are concurrent-safe
@@ -40,8 +37,8 @@
 namespace dmpb {
 
 /**
- * Everything that varies per pipeline request. The workload/scale/
- * params triple resolves through the WorkloadRegistry (ignored by the
+ * Everything that varies per pipeline request. The workload/scale
+ * pair resolves through the WorkloadRegistry (ignored by the
  * pre-built-Workload overload of execute()).
  */
 struct PipelineRequest
@@ -50,8 +47,6 @@ struct PipelineRequest
     std::string workload;
     /** Scenario-matrix input scale of this request. */
     Scale scale = Scale::Quick;
-    /** Optional preset overrides (0 / negative = keep preset). */
-    WorkloadSpec::Params params;
     /** Master seed mixed into tuner and proxy data generation. */
     std::uint64_t seed = 99;
     /** Wall-clock budget in seconds; 0 = unlimited. Enforced
@@ -89,9 +84,6 @@ struct WorkloadOutcome
     double elapsed_s = 0.0;    ///< wall time of this pipeline
 };
 
-/** The pipeline result type: one outcome per request. */
-using PipelineResult = WorkloadOutcome;
-
 /** Everything that varies per co-location request (core/colocation
  *  carries the scenario; the cache policy rides alongside like a
  *  pipeline request's). */
@@ -126,7 +118,7 @@ class PipelineService
     explicit PipelineService(ServiceConfig config);
 
     /**
-     * Resolve request.workload/scale/params through the
+     * Resolve request.workload/scale through the
      * WorkloadRegistry and run the pipeline under the scale's tuner
      * budget preset. Per-request errors (including an unknown
      * workload name) land in the outcome as Failed; this never
@@ -138,7 +130,7 @@ class PipelineService
      * Run the pipeline for a caller-constructed workload (the suite
      * runner path, which may carry workloads that exist in no
      * registry). The service tuner budget applies as-is;
-     * request.workload/scale/params are ignored.
+     * request.workload/scale are ignored.
      */
     WorkloadOutcome execute(const Workload &workload,
                             const PipelineRequest &request) const;

@@ -225,9 +225,8 @@ renderJson(const SuiteResult &result)
     json.field("all_ok", result.allOk());
     json.field("suite_checksum", hex64(result.checksum()));
     json.openArray("workloads");
-    // One serializer, three consumers: each element is exactly the
-    // writeOutcomeJson document the serve daemon streams per request
-    // (and the loadgen verifies), spliced in verbatim.
+    // Each element is exactly the writeOutcomeJson document of one
+    // outcome, spliced in verbatim.
     for (const WorkloadOutcome &o : result.outcomes)
         json.rawElement(writeOutcomeJson(o));
     json.closeArray();

@@ -17,11 +17,9 @@ namespace dmpb {
 
 /**
  * Serialize one outcome as a standalone JSON object -- the exact
- * element shape of renderJson's "workloads" array. One serializer,
- * three consumers: the suite report splices these into its array,
- * the serve daemon streams one per request response, and the loadgen
- * parses them back; RFC 8259 escaping therefore lives (and is
- * tested) in exactly one place (base/json).
+ * element shape of renderJson's "workloads" array, which splices
+ * these in verbatim. RFC 8259 escaping lives (and is tested) in
+ * exactly one place (base/json).
  */
 std::string writeOutcomeJson(const WorkloadOutcome &outcome);
 
@@ -30,8 +28,7 @@ std::string renderTable(const SuiteResult &result);
 
 /**
  * Serialize one co-located scenario outcome as a standalone JSON
- * document (served verbatim by the daemon's "colocate" command and
- * written by the CLI's --colocate mode):
+ * document (written by the CLI's --colocate mode):
  *
  * { "mode": "colocate", "status", "error", "policy", "scale",
  *   "seed", "from_cache", "stp", "antt", "unfairness",

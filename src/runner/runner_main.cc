@@ -1,15 +1,10 @@
 /**
  * @file
- * The `dmpb` command-line entry point. Three modes share one flag
- * parser and one PipelineService configuration:
+ * The `dmpb` command-line entry point. Two modes share one flag
+ * parser and one pipeline configuration:
  *
  *   (default)   one-shot suite: run every selected workload's proxy
  *               pipeline in parallel, emit a table + JSON report.
- *   --serve     benchmark-as-a-service daemon on a Unix socket
- *               (serve/server).
- *   --loadgen   closed-loop load generator replaying a mixed
- *               warm/cold request stream against a --serve daemon
- *               (serve/loadgen).
  *   --colocate  co-located multi-tenant scenario: K proxy workloads
  *               sharing one simulated LLC under an --llc-policy
  *               way-partitioning policy (core/colocation).
@@ -30,8 +25,6 @@
 #include "runner/cli_parse.hh"
 #include "runner/report.hh"
 #include "runner/suite.hh"
-#include "serve/loadgen.hh"
-#include "serve/server.hh"
 #include "sim/partition_policy.hh"
 
 namespace {
@@ -40,15 +33,13 @@ const char *kUsage = R"(dmpb -- data-motif proxy benchmark suite runner
 
 Runs the full proxy pipeline (real-workload measurement, motif
 decomposition, decision-tree auto-tuning, qualified-proxy execution)
-for every workload of the registry, in parallel -- one-shot, or as a
-long-running daemon (--serve) driven by NDJSON requests.
+for every workload of the registry, in parallel.
 
 Usage: dmpb [options]
 
   --workloads a,b,c   Comma-separated subset by short name
                       (terasort,kmeans,pagerank,alexnet,inception-v3,
-                      grep,wordcount,naivebayes); default: all.
-                      Also the loadgen request mix
+                      grep,wordcount,naivebayes); default: all
   --scale NAME        Input scale of the scenario matrix: paper
                       (Section III-B inputs, default), quick (~1000x
                       smaller; light tuner budget) or tiny (another
@@ -105,11 +96,6 @@ Usage: dmpb [options]
                       pointed at a directory, and otherwise the
                       reference cache rides along with the
                       tuned-parameter cache
-  --mem-cache N       Entry cap of the in-memory layer fronting each
-                      enabled on-disk cache (default 1024; 0 sends
-                      every lookup to disk). Mostly relevant under
-                      --serve, where it is what keeps a hot scenario
-                      cell from re-reading its cache file per request
   --cluster NAME      paper5 (default), paper3, haswell3, or accel3
                       (paper3 hosts plus a 16x16 weight-stationary
                       systolic array per node; conv2d/matMul run on
@@ -121,19 +107,6 @@ Usage: dmpb [options]
                       registry order), the scenario-matrix scales and
                       the LLC partition policies, then exit
   --help              This text
-
-Serve mode (benchmark-as-a-service daemon):
-
-  --serve PATH        Listen on the Unix-domain socket PATH and
-                      answer newline-delimited JSON pipeline requests
-                      (protocol: src/serve/protocol.hh, README).
-                      Cache/cluster/tuner flags above configure the
-                      shared service; scale, seed, timeout and cache
-                      policy travel per request. Drains and exits on
-                      SIGTERM/SIGINT or {"cmd":"shutdown"}
-  --serve-workers N   Concurrent pipeline workers (default 1)
-  --serve-queue N     Admission-queue capacity; further run requests
-                      are rejected with "overloaded" (default 64)
 
 Co-location mode (shared-LLC multi-tenant simulation):
 
@@ -154,22 +127,8 @@ Co-location mode (shared-LLC multi-tenant simulation):
                       ways toward tenants whose miss rate is high or
                       rising). Only valid with --colocate
 
-Loadgen mode (drive a running --serve daemon):
-
-  --loadgen PATH          Connect to the daemon socket PATH and replay
-                          a closed-loop request stream; reports
-                          throughput and p50/p95/p99 latency.
-                          --workloads/--scale/--seed/--timeout shape
-                          the requests (scale defaults to tiny here)
-  --loadgen-requests N    Total run requests (default 1000)
-  --loadgen-conns N       Concurrent connections (default 4)
-  --loadgen-cold P        Percent of requests sent with
-                          "cache":"bypass" (default 10)
-  --loadgen-json          Print the report as JSON instead of text
-
-Exit status: 0 when every selected workload completed (or the daemon /
-loadgen ran cleanly), 1 on a failed or timed-out workload, 2 on a
-usage error.
+Exit status: 0 when every selected workload completed, 1 on a failed
+or timed-out workload, 2 on a usage error.
 )";
 
 [[noreturn]] void usageError(const std::string &msg);
@@ -244,14 +203,6 @@ main(int argc, char **argv)
     bool no_cache = false;
     std::string cache_dir;
     std::string ref_cache_dir;
-    std::uint64_t mem_entries = CacheConfig::kDefaultMemEntries;
-
-    ServeOptions serve;
-    bool serve_mode = false;
-
-    LoadGenOptions loadgen;
-    bool loadgen_mode = false;
-    bool loadgen_json = false;
 
     ColocationSpec colo;
     bool colocate_mode = false;
@@ -318,8 +269,6 @@ main(int argc, char **argv)
             cache_dir = value("--cache-dir");
         } else if (arg == "--ref-cache-dir") {
             ref_cache_dir = value("--ref-cache-dir");
-        } else if (arg == "--mem-cache") {
-            mem_entries = u64Flag("--mem-cache", value("--mem-cache"));
         } else if (arg == "--threshold") {
             options.tuner.threshold =
                 doubleFlag("--threshold", value("--threshold"));
@@ -331,57 +280,23 @@ main(int argc, char **argv)
             } catch (const std::invalid_argument &e) {
                 usageError(e.what());
             }
-        } else if (arg == "--serve") {
-            serve.socket_path = value("--serve");
-            serve_mode = true;
-        } else if (arg == "--serve-workers") {
-            serve.workers = static_cast<std::size_t>(positiveU64Flag(
-                "--serve-workers", value("--serve-workers")));
-        } else if (arg == "--serve-queue") {
-            serve.max_queue = static_cast<std::size_t>(positiveU64Flag(
-                "--serve-queue", value("--serve-queue")));
         } else if (arg == "--colocate") {
             colo.workloads = splitCsv(value("--colocate"));
             colocate_mode = true;
         } else if (arg == "--llc-policy") {
             colo.policy = value("--llc-policy");
             llc_policy_given = true;
-        } else if (arg == "--loadgen") {
-            loadgen.socket_path = value("--loadgen");
-            loadgen_mode = true;
-        } else if (arg == "--loadgen-requests") {
-            loadgen.requests = static_cast<std::size_t>(positiveU64Flag(
-                "--loadgen-requests", value("--loadgen-requests")));
-        } else if (arg == "--loadgen-conns") {
-            loadgen.connections =
-                static_cast<std::size_t>(positiveU64Flag(
-                    "--loadgen-conns", value("--loadgen-conns")));
-        } else if (arg == "--loadgen-cold") {
-            std::uint64_t n =
-                u64Flag("--loadgen-cold", value("--loadgen-cold"));
-            if (n > 100)
-                usageError("--loadgen-cold needs a percent (0..100)");
-            loadgen.cold_percent = static_cast<unsigned>(n);
-        } else if (arg == "--loadgen-json") {
-            loadgen_json = true;
         } else {
             usageError("unknown option '" + arg + "'");
         }
     }
 
-    if (serve_mode && loadgen_mode)
-        usageError("--serve and --loadgen are mutually exclusive");
-    if (colocate_mode && (serve_mode || loadgen_mode))
-        usageError("--colocate is mutually exclusive with --serve and "
-                   "--loadgen");
     if (llc_policy_given && !colocate_mode)
         usageError("--llc-policy is only valid with --colocate");
 
     options.cache = resolveCacheConfig(no_cache, cache_dir,
                                        ref_cache_dir,
                                        defaultCacheDir());
-    options.cache.mem_entries =
-        static_cast<std::size_t>(mem_entries);
 
     if (list_only) {
         for (const auto &e : WorkloadRegistry::instance().entries())
@@ -431,36 +346,6 @@ main(int argc, char **argv)
                 std::cout << "JSON report: " << output << "\n";
         }
         return outcome.status == RunStatus::Ok ? 0 : 1;
-    }
-
-    if (loadgen_mode) {
-        loadgen.workloads = options.workloads;
-        // Loadgen replays thousands of pipelines; default to the
-        // unit-test scale unless the user asked for a heavier one.
-        loadgen.scale = scale_given ? scale : Scale::Tiny;
-        loadgen.seed = options.seed;
-        loadgen.timeout_s = options.timeout_s;
-        LoadGenReport report = runLoadGen(loadgen);
-        if (loadgen_json)
-            std::cout << renderLoadGenJson(report);
-        else
-            std::cout << renderLoadGenTable(report);
-        return report.ok ? 0 : 1;
-    }
-
-    if (serve_mode) {
-        // The daemon gets the *base* tuner budget: the registry path
-        // of PipelineService applies each request's scale preset
-        // (scaleTunerConfig), exactly as the one-shot path below
-        // applies its --scale -- so a served cell and a CLI cell tune
-        // identically.
-        ServiceConfig service_config;
-        service_config.cluster = options.cluster;
-        service_config.tuner = options.tuner;
-        service_config.sim = options.sim;
-        service_config.cache = options.cache;
-        Server server(std::move(service_config), std::move(serve));
-        return server.serve();
     }
 
     // Non-paper scales run with the registry's light tuner budget

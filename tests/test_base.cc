@@ -276,57 +276,6 @@ TEST(StatsUtil, MedianEvenOdd)
     EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
 }
 
-TEST(StatsUtil, PercentileEmptyIsZero)
-{
-    EXPECT_DOUBLE_EQ(sortedPercentile({}, 50.0), 0.0);
-}
-
-TEST(StatsUtil, PercentileSingleSampleIsThatSample)
-{
-    // N=1: every percentile is the sample itself; the interpolation
-    // path must not be reached at all.
-    const std::vector<double> one{42.0};
-    for (double p : {0.0, 50.0, 95.0, 99.0, 100.0})
-        EXPECT_DOUBLE_EQ(sortedPercentile(one, p), 42.0) << "p=" << p;
-}
-
-TEST(StatsUtil, PercentileTwoSamplesInterpolates)
-{
-    const std::vector<double> two{10.0, 20.0};
-    EXPECT_DOUBLE_EQ(sortedPercentile(two, 0.0), 10.0);
-    EXPECT_DOUBLE_EQ(sortedPercentile(two, 50.0), 15.0);
-    EXPECT_DOUBLE_EQ(sortedPercentile(two, 95.0), 19.5);
-    EXPECT_DOUBLE_EQ(sortedPercentile(two, 100.0), 20.0);
-}
-
-TEST(StatsUtil, PercentileEndpointsHitMinAndMax)
-{
-    const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
-    EXPECT_DOUBLE_EQ(sortedPercentile(v, 0.0), 1.0);
-    EXPECT_DOUBLE_EQ(sortedPercentile(v, 100.0), 7.0);
-    EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 100.0), 3.0);
-}
-
-TEST(StatsUtil, PercentileMonotoneAndBounded)
-{
-    // The loadgen report invariant: min <= p50 <= p95 <= p99 <= max,
-    // exactly, on every sample size including the tiny ones.
-    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 19u, 100u}) {
-        std::vector<double> v;
-        for (std::size_t i = 0; i < n; ++i)
-            v.push_back(static_cast<double>((i * 7919) % 101) * 0.5);
-        std::sort(v.begin(), v.end());
-        double prev = v.front();
-        for (double p = 0.0; p <= 100.0; p += 0.5) {
-            double x = sortedPercentile(v, p);
-            EXPECT_GE(x, prev) << "n=" << n << " p=" << p;
-            EXPECT_GE(x, v.front());
-            EXPECT_LE(x, v.back());
-            prev = x;
-        }
-    }
-}
-
 TEST(Units, FormatBytes)
 {
     EXPECT_EQ(formatBytes(512), "512 B");

@@ -1,11 +1,7 @@
 /**
  * @file
  * Unit tests for base/json: the streaming JsonWriter every JSON
- * producer in the repo shares, and the strict JsonValue parser behind
- * the serve daemon's request protocol. Writer output must round-trip
- * through the parser -- the daemon literally does this (responses are
- * written with JsonWriter and read back by the loadgen with
- * JsonValue), so the round trip is the contract.
+ * producer in the repo shares. Its output is pinned byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +12,6 @@
 
 namespace dmpb {
 namespace {
-
-// ------------------------------------------------------------ writer
 
 TEST(JsonWriter, NestedObjectsAndArrays)
 {
@@ -47,14 +41,12 @@ TEST(JsonWriter, RawSpliceLandsVerbatim)
 
     JsonWriter json;
     json.openObject();
-    json.rawField("result", inner.str());
     json.openArray("all");
     json.rawElement(inner.str());
     json.rawElement(inner.str());
     json.closeArray();
     json.closeObject();
-    EXPECT_EQ(json.str(),
-              "{\"result\":{\"a\":1},\"all\":[{\"a\":1},{\"a\":1}]}");
+    EXPECT_EQ(json.str(), "{\"all\":[{\"a\":1},{\"a\":1}]}");
 }
 
 TEST(JsonWriter, NonFiniteNumbersBecomeNull)
@@ -76,7 +68,7 @@ TEST(JsonEscape, EscapesEveryControlCharacter)
     EXPECT_EQ(jsonEscape("plain"), "plain");
 }
 
-TEST(JsonRoundTrip, WriterOutputParsesBack)
+TEST(JsonWriter, FieldsSerializeExactly)
 {
     JsonWriter json;
     json.openObject();
@@ -85,107 +77,9 @@ TEST(JsonRoundTrip, WriterOutputParsesBack)
     json.field("u", std::uint64_t(1) << 53);
     json.field("b", false);
     json.closeObject();
-
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(json.str(), doc, &error)) << error;
-    EXPECT_EQ(doc.find("s")->asString(), "quote\" tab\t ctrl\x02 end");
-    EXPECT_DOUBLE_EQ(doc.find("n")->asNumber(), 0.125);
-    EXPECT_EQ(doc.find("u")->asU64(), std::uint64_t(1) << 53);
-    EXPECT_FALSE(doc.find("b")->asBool(true));
-}
-
-// ------------------------------------------------------------ parser
-
-TEST(JsonParser, ParsesScalarsAndContainers)
-{
-    JsonValue doc;
-    ASSERT_TRUE(JsonValue::parse(
-        " {\"a\": [1, -2.5, 1e3], \"b\": {\"c\": null}, "
-        "\"d\": true} ",
-        doc));
-    ASSERT_TRUE(doc.isObject());
-    const JsonValue *a = doc.find("a");
-    ASSERT_NE(a, nullptr);
-    ASSERT_TRUE(a->isArray());
-    ASSERT_EQ(a->items().size(), 3u);
-    EXPECT_DOUBLE_EQ(a->items()[0].asNumber(), 1.0);
-    EXPECT_DOUBLE_EQ(a->items()[1].asNumber(), -2.5);
-    EXPECT_DOUBLE_EQ(a->items()[2].asNumber(), 1000.0);
-    EXPECT_TRUE(doc.find("b")->find("c")->isNull());
-    EXPECT_TRUE(doc.find("d")->asBool());
-}
-
-TEST(JsonParser, DecodesEscapes)
-{
-    JsonValue doc;
-    ASSERT_TRUE(JsonValue::parse(
-        R"("\"\\\/\b\f\n\r\t\u0041\u00e9\u20ac")", doc));
-    EXPECT_EQ(doc.asString(),
-              "\"\\/\b\f\n\r\tA\xc3\xa9\xe2\x82\xac");
-}
-
-TEST(JsonParser, RejectsMalformedInput)
-{
-    JsonValue doc;
-    std::string error;
-    for (const char *bad :
-         {"", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru",
-          "1.", "1e", "+1", "\"unterminated", "\"bad \\q escape\"",
-          "\"surrogate \\ud800\"", "\"ctrl \x01\"", "{} trailing",
-          "nan", "[1] [2]"}) {
-        EXPECT_FALSE(JsonValue::parse(bad, doc, &error))
-            << "accepted: " << bad;
-        EXPECT_FALSE(error.empty());
-        EXPECT_NE(error.find("offset"), std::string::npos);
-    }
-}
-
-TEST(JsonParser, DepthCapStopsHostileNesting)
-{
-    std::string deep_ok(20, '['), deep_bad(100, '[');
-    deep_ok += std::string(20, ']');
-    deep_bad += std::string(100, ']');
-    JsonValue doc;
-    EXPECT_TRUE(JsonValue::parse(deep_ok, doc));
-    std::string error;
-    EXPECT_FALSE(JsonValue::parse(deep_bad, doc, &error));
-    EXPECT_NE(error.find("deep"), std::string::npos);
-}
-
-TEST(JsonParser, DuplicateKeysResolveToFirst)
-{
-    JsonValue doc;
-    ASSERT_TRUE(JsonValue::parse("{\"k\":1,\"k\":2}", doc));
-    EXPECT_DOUBLE_EQ(doc.find("k")->asNumber(), 1.0);
-    EXPECT_EQ(doc.members().size(), 2u);
-}
-
-TEST(JsonParser, AccessorsFallBackOnTypeMismatch)
-{
-    JsonValue doc;
-    ASSERT_TRUE(JsonValue::parse("{\"s\":\"x\",\"n\":1.5}", doc));
-    EXPECT_EQ(doc.find("s")->asNumber(7.0), 7.0);
-    EXPECT_EQ(doc.find("n")->asString(), "");
-    EXPECT_TRUE(doc.find("s")->asBool(true));
-    // asU64 insists on an exact non-negative integer in range.
-    EXPECT_EQ(doc.find("n")->asU64(9), 9u);
-    JsonValue neg;
-    ASSERT_TRUE(JsonValue::parse("-3", neg));
-    EXPECT_EQ(neg.asU64(9), 9u);
-    JsonValue huge;
-    ASSERT_TRUE(JsonValue::parse("1e300", huge));
-    EXPECT_EQ(huge.asU64(9), 9u);
-    JsonValue exact;
-    ASSERT_TRUE(JsonValue::parse("42", exact));
-    EXPECT_EQ(exact.asU64(9), 42u);
-}
-
-TEST(JsonParser, FindOnNonObjectIsNull)
-{
-    JsonValue doc;
-    ASSERT_TRUE(JsonValue::parse("[1,2]", doc));
-    EXPECT_EQ(doc.find("k"), nullptr);
+    EXPECT_EQ(json.str(),
+              "{\"s\":\"quote\\\" tab\\t ctrl\\u0002 end\","
+              "\"n\":0.125,\"u\":9007199254740992,\"b\":false}");
 }
 
 } // namespace

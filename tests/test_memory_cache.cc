@@ -2,9 +2,9 @@
  * @file
  * Unit tests for core/memory_cache: LRU semantics, the capacity cap,
  * counter accounting, and a multi-threaded hammer that drives mixed
- * hit/miss/evict traffic through one instance -- the concurrency
- * profile of the serve daemon's in-memory cache layers (this file is
- * part of the CI TSan job for exactly that reason).
+ * hit/miss/evict traffic through one instance -- the worst case a
+ * PipelineService shared by many threads can put on its in-memory
+ * cache layers (this file is part of the CI TSan job for that reason).
  */
 
 #include <gtest/gtest.h>

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for runner/pipeline_service: the request/response API
- * the suite runner and the serve daemon share. The invariants pinned
- * here are the ones the daemon's byte-identity guarantee rests on:
- * the registry path equals the suite path, cache policy Bypass equals
- * a cache-less service bit for bit, and concurrent cold misses
- * against one on-disk cache directory produce one coherent answer
- * (no torn files, no double-tune divergence).
+ * behind the suite runner. The invariants pinned here: the registry
+ * path equals the suite path, cache policy Bypass equals a cache-less
+ * service bit for bit, and concurrent cold misses against one on-disk
+ * cache directory produce one coherent answer (no torn files, no
+ * divergence between the threads that tuned the same cell).
  */
 
 #include <gtest/gtest.h>
@@ -90,13 +89,12 @@ class PipelineServiceTest : public ::testing::Test
 
 TEST_F(PipelineServiceTest, RegistryPathEqualsSuitePath)
 {
-    // The daemon resolves (workload, scale) through the registry and
-    // applies the scale's tuner preset per request; the one-shot CLI
-    // pre-scales the tuner and hands the suite a built workload. Both
-    // must tune identically or served responses drift from reports.
-    PipelineService daemon_like(quickService());
-    WorkloadOutcome served =
-        daemon_like.execute(tinyRequest("terasort"));
+    // execute(request) resolves (workload, scale) through the
+    // registry and applies the scale's tuner preset per request; the
+    // one-shot CLI pre-scales the tuner and hands the suite a built
+    // workload. Both must tune identically.
+    PipelineService service(quickService());
+    WorkloadOutcome resolved = service.execute(tinyRequest("terasort"));
 
     SuiteOptions options;
     options.cluster = paperCluster5();
@@ -108,9 +106,9 @@ TEST_F(PipelineServiceTest, RegistryPathEqualsSuitePath)
     SuiteResult suite = runner.run();
 
     ASSERT_EQ(suite.outcomes.size(), 1u);
-    expectBitIdentical(served, suite.outcomes[0]);
+    expectBitIdentical(resolved, suite.outcomes[0]);
     // Including the serialized form, modulo the timing field.
-    std::string a = writeOutcomeJson(served);
+    std::string a = writeOutcomeJson(resolved);
     std::string b = writeOutcomeJson(suite.outcomes[0]);
     auto strip = [](std::string s) {
         std::size_t at = s.find("\"elapsed_s\":");
@@ -193,9 +191,11 @@ TEST_F(PipelineServiceTest, MemoryAndDiskHitsReplayIdentically)
 TEST_F(PipelineServiceTest, ConcurrentColdMissesConverge)
 {
     // Many threads race the same cold scenario cell against one
-    // on-disk directory (the daemon's first-request stampede). The
-    // in-process single-flight means one tune; everyone else replays
-    // it -- and every outcome is bit-identical.
+    // on-disk directory. Every thread that finds nothing published
+    // yet measures and tunes the cell itself and publishes the same
+    // .params and .ref files, so the atomic publish (core/cache_file)
+    // is what keeps the files whole -- and every outcome is
+    // bit-identical.
     const std::string dir = "test-psvc-stampede-cache";
     std::filesystem::remove_all(dir);
     PipelineService service(quickService(dir));
@@ -216,8 +216,8 @@ TEST_F(PipelineServiceTest, ConcurrentColdMissesConverge)
         EXPECT_EQ(outcomes[i].status, RunStatus::Ok) << i;
         expectBitIdentical(outcomes[0], outcomes[i]);
     }
-    // Exactly one tuned-parameter artefact on disk, readable by a
-    // fresh service (i.e. not torn by the concurrent publishers).
+    // The tuned-parameter artefact on disk is readable by a fresh
+    // service (i.e. not torn by the concurrent publishers).
     PipelineService fresh(quickService(dir));
     WorkloadOutcome replay = fresh.execute(request);
     EXPECT_TRUE(replay.from_cache);
